@@ -69,6 +69,25 @@ def parse_angle(text):
     return value if unit == "rad" else math.radians(value)
 
 
+def _int_at_least(minimum):
+    """argparse type for a count flag: an integer no smaller than ``minimum``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+positive_int = _int_at_least(1)
+nonnegative_int = _int_at_least(0)
+
+
 def _fmt_deg(rad):
     return "%.12g" % math.degrees(rad)
 
@@ -89,7 +108,7 @@ def _add_common(parser, top_level):
     )
     parser.add_argument(
         "--threads",
-        type=int,
+        type=positive_int,
         help="worker threads where supported",
         **({"default": 1} if top_level else kw),
     )
@@ -128,16 +147,19 @@ def build_parser():
         default="legendre",
         help="legendre: C_ell; smallangle: flat-sky P(k); resum: spectrum -> C(theta)",
     )
-    p.add_argument("--ell-max", type=int, default=2000)
-    p.add_argument("--n-nodes", type=int, default=4096, help="quadrature order per panel")
+    p.add_argument("--ell-max", type=nonnegative_int, default=2000)
+    p.add_argument(
+        "--n-nodes", type=positive_int, default=4096,
+        help="quadrature order of a full-range panel; shorter panels get their length share",
+    )
     p.add_argument("--k-min", type=float, default=2.0)
     p.add_argument("--k-max", type=float, default=2000.0)
-    p.add_argument("--n-k", type=int, default=1000)
+    p.add_argument("--n-k", type=positive_int, default=1000)
     p.add_argument("--theta-min", type=parse_angle, default=0.0, help="resum grid start")
     p.add_argument(
         "--theta-max", type=parse_angle, default=math.pi, help="resum grid end"
     )
-    p.add_argument("--n-theta", type=int, default=721, help="resum grid points")
+    p.add_argument("--n-theta", type=positive_int, default=721, help="resum grid points")
     p.add_argument("--output", help="output file name override")
     p.set_defaults(func=cmd_transform)
 
@@ -149,7 +171,7 @@ def build_parser():
     p.add_argument("--radius", type=parse_angle, default=math.radians(1.0))
     p.add_argument("--theta-min", type=parse_angle, default=math.radians(0.05))
     p.add_argument("--theta-max", type=parse_angle, default=math.radians(4.0))
-    p.add_argument("--n-theta", type=int, default=64)
+    p.add_argument("--n-theta", type=positive_int, default=64)
     p.add_argument("--output", help="output file name override")
     p.set_defaults(func=cmd_toy1)
 
@@ -165,20 +187,20 @@ def build_parser():
     p.add_argument("--length", type=float, default=1.0)
     p.add_argument("--distance-min", type=float, default=3.0)
     p.add_argument("--distance-max", type=float, default=50.0)
-    p.add_argument("--ell-max", type=int, default=2000)
-    p.add_argument("--n-theta", type=int, default=512, help="correlation output grid")
+    p.add_argument("--ell-max", type=nonnegative_int, default=2000)
+    p.add_argument("--n-theta", type=positive_int, default=512, help="correlation output grid")
     p.set_defaults(func=cmd_toy2)
 
     p = sub.add_parser("mc", parents=[common], help="Monte Carlo disk ensembles")
-    p.add_argument("--n-disks", type=int)
+    p.add_argument("--n-disks", type=positive_int)
     p.add_argument("--radius", type=parse_angle)
     p.add_argument("--radius-min", type=parse_angle)
     p.add_argument("--radius-max", type=parse_angle)
-    p.add_argument("--points-per-disk", type=int)
+    p.add_argument("--points-per-disk", type=positive_int)
     p.add_argument("--patch-size", type=float)
     p.add_argument("--hard-core", action="store_true", default=None)
-    p.add_argument("--realizations", type=int)
-    p.add_argument("--n-bins", type=int)
+    p.add_argument("--realizations", type=positive_int)
+    p.add_argument("--n-bins", type=positive_int)
     p.add_argument("--theta-max", type=parse_angle)
     p.add_argument("--output", help="output file name override")
     p.set_defaults(func=cmd_mc)
@@ -398,7 +420,7 @@ def _mc_config(args):
 
 def cmd_mc(args):
     config = _mc_config(args)
-    stats = run_ensemble(config, threads=max(1, args.threads))
+    stats = run_ensemble(config, threads=args.threads)
     lo, hi = config.radius_range
     manifest = _base_manifest(
         args, "mc",

@@ -51,6 +51,10 @@ class PeakReport:
 
     ``quasi_period``/``envelope_exponent`` and their uncertainties are
     NaN when too few peaks qualify; ``detected`` is the final verdict.
+    ``regularity`` (1 - sigma/mean of the peak spacings, NaN below two
+    peaks) and ``failed_threshold`` ("min_peaks", "regularity_min", or
+    None when detected) say why the verdict came out as it did; they are
+    diagnostics and are not written to the peak CSV.
     """
 
     locations: np.ndarray
@@ -61,6 +65,8 @@ class PeakReport:
     envelope_stderr: float
     score: float
     detected: bool
+    regularity: float = float("nan")
+    failed_threshold: str | None = None
 
     def __post_init__(self):
         loc = np.asarray(self.locations, dtype=float)
@@ -191,6 +197,22 @@ def envelope_decay_exponent(locations, heights, k_min=None):
     return float(slope), float(stderr)
 
 
+def _verdict(locations):
+    """(detected, score, regularity, failed_threshold) of a peak set."""
+    n = locations.size
+    if n < 2:
+        return False, 0.0, float("nan"), "min_peaks"
+    gaps = np.diff(locations)
+    regularity = max(0.0, 1.0 - gaps.std() / gaps.mean()) if gaps.mean() > 0 else 0.0
+    if n < MIN_PEAKS:
+        failed = "min_peaks"
+    elif regularity < REGULARITY_MIN:
+        failed = "regularity_min"
+    else:
+        failed = None
+    return failed is None, float(n * regularity), float(regularity), failed
+
+
 def oscillation_score(spec, smoothing_window=SMOOTHING_WINDOW, prominence_frac=PROMINENCE_FRAC):
     """Boolean oscillation verdict plus its supporting score.
 
@@ -199,14 +221,7 @@ def oscillation_score(spec, smoothing_window=SMOOTHING_WINDOW, prominence_frac=P
     regularity >= 0.5, i.e. several peaks with broadly even spacing.
     """
     locations, _ = find_peaks(spec, smoothing_window, prominence_frac)
-    n = locations.size
-    if n < 2:
-        return False, 0.0
-    gaps = np.diff(locations)
-    regularity = max(0.0, 1.0 - gaps.std() / gaps.mean()) if gaps.mean() > 0 else 0.0
-    score = n * regularity
-    detected = n >= MIN_PEAKS and regularity >= REGULARITY_MIN
-    return detected, float(score)
+    return _verdict(locations)[:2]
 
 
 def analyze_spectrum(spec, smoothing_window=SMOOTHING_WINDOW, prominence_frac=PROMINENCE_FRAC):
@@ -220,7 +235,7 @@ def analyze_spectrum(spec, smoothing_window=SMOOTHING_WINDOW, prominence_frac=PR
         env, env_err = envelope_decay_exponent(locations, heights)
     except InsufficientPeaksError:
         pass
-    detected, score = oscillation_score(spec, smoothing_window, prominence_frac)
+    detected, score, regularity, failed = _verdict(locations)
     return PeakReport(
         locations=locations,
         heights=heights,
@@ -230,4 +245,6 @@ def analyze_spectrum(spec, smoothing_window=SMOOTHING_WINDOW, prominence_frac=PR
         envelope_stderr=env_err,
         score=score,
         detected=detected,
+        regularity=regularity,
+        failed_threshold=failed,
     )

@@ -114,8 +114,11 @@ class RealizationStats:
 
     ``rms`` is the across-realization standard deviation (ddof=1), the
     error-bar convention for ensemble plots; it is NaN when only one
-    realization was run.  ``per_realization`` keeps the full
-    (n_realizations, n_bins) estimate matrix for further analysis.
+    realization was run.  A bin that some realizations left empty counts
+    as -1 (DD = 0) in those; ``mean`` and ``rms`` are NaN only for bins
+    that caught no pair in the whole ensemble.  ``per_realization`` keeps
+    the full (n_realizations, n_bins) estimate matrix for further
+    analysis, with NaN for each realization's empty bins.
     """
 
     theta_edges: np.ndarray
@@ -283,16 +286,23 @@ def run_ensemble(config, threads=1):
 
     xi = np.array([r[0] for r in results])
     dd = np.array([r[1] for r in results])
-    mean = xi.mean(axis=0)
+    n_pairs = dd.sum(axis=0)
+    # A bin that one realization left empty is a measured DD = 0, and RR is
+    # the same in every realization, so its estimate there is -1.  Averaging
+    # only the realizations that caught pairs would bias sparse bins upward.
+    measured = np.where(dd > 0, xi, -1.0)
+    mean = measured.mean(axis=0)
     if config.n_realizations > 1:
-        rms = xi.std(axis=0, ddof=1)
+        rms = measured.std(axis=0, ddof=1)
     else:
         rms = np.full(xi.shape[1], np.nan)
+    mean[n_pairs == 0] = np.nan
+    rms[n_pairs == 0] = np.nan
     return RealizationStats(
         theta_edges=config.bin_edges,
         mean=mean,
         rms=rms,
-        n_pairs=dd.sum(axis=0),
+        n_pairs=n_pairs,
         per_realization=xi,
         config=config,
     )

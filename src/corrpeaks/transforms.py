@@ -9,7 +9,9 @@ and the small-angle (flat) limit replaces P_ell(cos theta) by J_0(k theta)
 with k = ell + 1/2.  Everything is evaluated on fixed-order Gauss-Legendre
 nodes; integrands with kinks are handled by splitting the quadrature into
 panels at the model breakpoints, never by adaptive subdivision, so repeated
-runs are bit-identical.
+runs are bit-identical.  ``n_nodes`` is the order of a full-range panel;
+shorter panels get their length share.  Nodes whose weighted sample is
+exactly zero are dropped before the multipole or wavenumber loop.
 """
 
 import math
@@ -37,9 +39,10 @@ __all__ = [
     "quadratic_spline_profile",
 ]
 
-# Fixed quadrature order per panel.  4096 nodes resolve P_ell up to
+# Order of a full-range panel.  4096 nodes resolve P_ell up to
 # ell ~ 2000 with several digits to spare; raise for larger ell_max.
 DEFAULT_NODES = 4096
+MIN_PANEL_NODES = 64
 
 # Tabulated input whose grid coincides with the quadrature nodes to this
 # tolerance is used directly, with no interpolation step at all.
@@ -203,15 +206,22 @@ _NODE_CACHE = {}
 def panel_nodes(breakpoints, n_nodes, lo=0.0, hi=math.pi):
     """Quadrature nodes and weights on [lo, hi], split at breakpoints.
 
-    Each panel between consecutive cut points carries the full n_nodes
-    Gauss-Legendre rule, so integrands that are smooth between cuts are
+    ``n_nodes`` is the Gauss-Legendre order of a full-range panel; a
+    panel of length h gets its share ceil(n_nodes h / (hi - lo)), rounded
+    up to a power of two (so few orders are built and cached) and kept
+    within [MIN_PANEL_NODES, n_nodes].  Every panel so keeps at least the
+    full-range node density, and integrands smooth between cuts are
     resolved to near machine precision.
     """
+    n_nodes = int(n_nodes)
+    if n_nodes < 1:
+        raise ValueError("n_nodes must be at least 1")
     cuts = sorted({lo, hi, *(float(b) for b in breakpoints if lo < b < hi)})
-    x, w = gauss_nodes(n_nodes)
     thetas = []
     weights = []
     for a, b in zip(cuts[:-1], cuts[1:]):
+        share = math.ceil(n_nodes * (b - a) / (hi - lo))
+        x, w = gauss_nodes(min(n_nodes, max(MIN_PANEL_NODES, 1 << (share - 1).bit_length())))
         half = 0.5 * (b - a)
         thetas.append(0.5 * (a + b) + half * x)
         weights.append(half * w)
@@ -248,6 +258,41 @@ def _sample_correlation(corr, theta):
     return np.asarray(corr(theta), dtype=float)
 
 
+def _weighted_samples(corr, breakpoints, n_nodes):
+    """Nodes, samples C and weighted samples 2 pi w sin(theta) C.
+
+    Nodes whose weighted sample is exactly zero add exactly zero to any
+    transform, so they are dropped.
+    """
+    if breakpoints is None:
+        breakpoints = _model_breakpoints(corr)
+    theta, w = panel_nodes(breakpoints, n_nodes)
+    f = _sample_correlation(corr, theta)
+    if f.shape != theta.shape:
+        raise ValueError("correlation evaluation returned a wrong shape")
+    base = 2.0 * math.pi * w * np.sin(theta) * f
+    keep = base != 0.0
+    return theta[keep], f[keep], base[keep]
+
+
+def _legendre_rows(x, ell_max):
+    """Yield P_0(x), ..., P_ell_max(x) from the upward three-term recurrence.
+
+    Buffers are updated in place, nothing is allocated per multipole: use
+    each yielded row before advancing, the next step overwrites it.
+    """
+    p_prev, p, scratch = np.ones_like(x), x.copy(), np.empty_like(x)
+    yield p_prev
+    for ell in range(1, ell_max + 1):
+        yield p
+        # (ell+1) P_{ell+1} = (2 ell + 1) x P_ell - ell P_{ell-1}
+        np.multiply(x, p, out=scratch)
+        scratch *= (2 * ell + 1) / (ell + 1)
+        p_prev *= ell / (ell + 1)
+        np.subtract(scratch, p_prev, out=p_prev)
+        p_prev, p = p, p_prev
+
+
 def legendre_coefficients(corr, ell_max=2000, breakpoints=None, n_nodes=DEFAULT_NODES):
     """Legendre coefficients of an angular correlation function.
 
@@ -261,7 +306,8 @@ def legendre_coefficients(corr, ell_max=2000, breakpoints=None, n_nodes=DEFAULT_
     breakpoints : sequence, optional
         Extra quadrature cut points in (0, pi); overrides the model's own.
     n_nodes : int
-        Gauss-Legendre order per panel.
+        Gauss-Legendre order of a full-range panel; shorter panels get
+        their length share (see :func:`panel_nodes`).
 
     Returns
     -------
@@ -270,34 +316,15 @@ def legendre_coefficients(corr, ell_max=2000, breakpoints=None, n_nodes=DEFAULT_
     Notes
     -----
     P_ell(cos theta) is generated by the upward three-term recurrence and
-    contracted with the weighted samples panel by panel, so memory stays
-    O(n_nodes) rather than O(n_nodes * ell_max).
+    contracted with the weighted samples one multipole at a time, so
+    memory stays O(nodes) rather than O(nodes * ell_max).
     """
     ell_max = int(ell_max)
     if ell_max < 0:
         raise ValueError("ell_max must be nonnegative")
-    if breakpoints is None:
-        breakpoints = _model_breakpoints(corr)
-    theta, w = panel_nodes(breakpoints, n_nodes)
-    f = _sample_correlation(corr, theta)
-    if f.shape != theta.shape:
-        raise ValueError("correlation evaluation returned a wrong shape")
-
-    x = np.cos(theta)
-    base = 2.0 * math.pi * w * np.sin(theta) * f
-    out = np.empty(ell_max + 1)
-
-    p_prev = np.ones_like(x)  # P_0
-    out[0] = base.sum()
-    if ell_max >= 1:
-        p = x.copy()  # P_1
-        out[1] = base @ p
-        for ell in range(1, ell_max):
-            # (ell+1) P_{ell+1} = (2 ell + 1) x P_ell - ell P_{ell-1}
-            p_next = ((2 * ell + 1) * x * p - ell * p_prev) / (ell + 1)
-            out[ell + 1] = base @ p_next
-            p_prev, p = p, p_next
-
+    theta, _, base = _weighted_samples(corr, breakpoints, n_nodes)
+    rows = _legendre_rows(np.cos(theta), ell_max)
+    out = np.fromiter((base @ p for p in rows), float, count=ell_max + 1)
     return PowerSpectrum(np.arange(ell_max + 1, dtype=float), out)
 
 
@@ -315,17 +342,10 @@ def correlation_from_spectrum(spectrum, theta):
     if np.any(theta < 0) or np.any(theta > math.pi + 1e-12):
         raise ValueError("theta must lie in [0, pi]")
 
-    x = np.cos(theta)
     coeff = spectrum.values * (2.0 * spectrum.grid + 1.0) / (4.0 * math.pi)
-    acc = np.full_like(x, coeff[0])
-    if coeff.size > 1:
-        p_prev = np.ones_like(x)
-        p = x.copy()
-        acc = acc + coeff[1] * p
-        for ell in range(1, coeff.size - 1):
-            p_next = ((2 * ell + 1) * x * p - ell * p_prev) / (ell + 1)
-            acc = acc + coeff[ell + 1] * p_next
-            p_prev, p = p, p_next
+    acc, term = np.zeros_like(theta), np.empty_like(theta)
+    for c, p in zip(coeff, _legendre_rows(np.cos(theta), coeff.size - 1)):
+        acc += np.multiply(c, p, out=term)
     order = np.argsort(theta)
     if np.any(np.diff(theta[order]) <= 0):
         raise ValueError("theta grid must not contain duplicates")
@@ -338,40 +358,41 @@ SMALL_ANGLE_LIMIT = math.radians(10.0)
 SMALL_ANGLE_TAIL_FRAC = 1e-3
 
 
+def _kernel_sums(kernel, k_grid, x, weighted):
+    """Sum_j kernel(k_i x_j) weighted_j on the k grid, chunked over k: a
+    full (n_k, n_x) kernel table would dwarf every other allocation here."""
+    out = np.empty_like(k_grid)
+    step = 256
+    for i in range(0, k_grid.size, step):
+        out[i : i + step] = kernel(k_grid[i : i + step, None] * x) @ weighted
+    return out
+
+
 def small_angle_spectrum(corr, k_grid, breakpoints=None, n_nodes=DEFAULT_NODES):
     """Flat-sky spectrum P(k) = 2 pi Integral C(theta) J_0(k theta) sin theta dtheta.
 
     Valid when C(theta) has support at small angles; k corresponds to
     ell + 1/2 on the full sky.  A warning is issued when a noticeable
     fraction of C lives beyond 10 degrees, where the approximation and
-    the Legendre transform part ways.
+    the Legendre transform part ways.  ``n_nodes`` is the order of a
+    full-range panel; shorter panels get their length share.
     """
     k_grid = _as_float_array(k_grid, "k_grid")
+    if k_grid.size == 0:
+        raise ValueError("k_grid must not be empty")
     if np.any(np.diff(k_grid) <= 0) or k_grid[0] < 0:
         raise ValueError("k_grid must be nonnegative and strictly increasing")
-    if breakpoints is None:
-        breakpoints = _model_breakpoints(corr)
-    theta, w = panel_nodes(breakpoints, n_nodes)
-    f = _sample_correlation(corr, theta)
+    theta, f, base = _weighted_samples(corr, breakpoints, n_nodes)
 
     tail = theta > SMALL_ANGLE_LIMIT
-    peak = np.max(np.abs(f))
+    peak = np.max(np.abs(f), initial=0.0)
     if peak > 0 and np.max(np.abs(f[tail]), initial=0.0) > SMALL_ANGLE_TAIL_FRAC * peak:
         warnings.warn(
             "correlation has weight beyond 10 deg; small-angle spectrum "
             "is unreliable there",
             stacklevel=2,
         )
-
-    base = 2.0 * math.pi * w * np.sin(theta) * f
-    out = np.empty_like(k_grid)
-    # Chunk the Bessel evaluation; a full (n_k, n_theta) table of J_0 would
-    # dwarf every other allocation in this module.
-    step = 256
-    for i in range(0, k_grid.size, step):
-        kk = k_grid[i : i + step, None]
-        out[i : i + step] = j0(kk * theta[None, :]) @ base
-    return PowerSpectrum(k_grid, out)
+    return PowerSpectrum(k_grid, _kernel_sums(j0, k_grid, theta, base))
 
 
 def ft_1d(profile, k_grid, n_nodes=2048):
@@ -379,19 +400,14 @@ def ft_1d(profile, k_grid, n_nodes=2048):
 
     Quadrature panels end at the profile's interior breakpoints and at the
     support edge, so piecewise-polynomial profiles are integrated exactly
-    up to the oscillation of cos(kx) itself.
+    up to the oscillation of cos(kx) itself.  ``n_nodes`` is the order of
+    a panel spanning the whole support; shorter panels get their length share.
     """
     if not isinstance(profile, Profile1D):
         raise TypeError("expected a Profile1D")
     k_grid = _as_float_array(k_grid, "k_grid")
     x, w = panel_nodes(profile.breakpoints, n_nodes, lo=0.0, hi=profile.x_max)
-    fx = w * profile.fn(x)
-    out = np.empty_like(k_grid)
-    step = 256
-    for i in range(0, k_grid.size, step):
-        kk = k_grid[i : i + step, None]
-        out[i : i + step] = 2.0 * (np.cos(kk * x[None, :]) @ fx)
-    return out
+    return 2.0 * _kernel_sums(np.cos, k_grid, x, w * profile.fn(x))
 
 
 def spherical_box_ft(k, radius, dim):

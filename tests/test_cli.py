@@ -135,6 +135,10 @@ def test_usage_errors_exit_1(tmp_path):
     assert run("--out-dir", tmp_path, "toy2", "--variant", "uniform",
                "--r-min", "2deg", "--r-max", "1deg") == 1
     assert run("--out-dir", tmp_path, "toy1", "--case", "z") == 1
+    # count flags must be positive
+    assert run("--out-dir", tmp_path, "toy2", "--variant", "uniform", "--n-theta", "0") == 1
+    assert run("--out-dir", tmp_path, "transform", "--model", "c2",
+               "--mode", "smallangle", "--n-k", "0") == 1
 
 
 def test_data_errors_exit_2(tmp_path):

@@ -7,6 +7,7 @@ from scipy.special import j1, jn_zeros
 
 from corrpeaks import (
     InsufficientPeaksError,
+    peak_analysis,
     PowerSpectrum,
     analyze_spectrum,
     envelope_decay_exponent,
@@ -47,6 +48,37 @@ def test_airy_pattern_quasi_period_and_envelope():
     detected, score = oscillation_score(spec)
     assert detected
     assert score > 3.0
+
+
+def test_analysis_runs_the_peak_finder_once_and_explains_its_verdict(monkeypatch):
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return find_peaks(*args, **kw)
+
+    monkeypatch.setattr(peak_analysis, "find_peaks", counting)
+    airy = airy_squared_spectrum()
+    report = analyze_spectrum(airy)
+    assert len(calls) == 1
+    assert (report.detected, report.score) == oscillation_score(airy)
+    assert report.failed_threshold is None
+    assert report.regularity == pytest.approx(report.score / report.n_peaks)
+
+    k = np.linspace(1.0, 100.0, 500)
+    report = analyze_spectrum(PowerSpectrum(k, 100.0 / k**2))
+    assert not report.detected
+    assert report.failed_threshold == "min_peaks"
+    assert np.isnan(report.regularity)
+
+    # Peaks at 10, 11, 30 and 31: gaps of 1, 19 and 1 are far from even.
+    k = np.linspace(1.0, 40.0, 2000)
+    bumps = np.exp(-0.5 * ((k[:, None] - [10.0, 11.0, 30.0, 31.0]) / 0.15) ** 2)
+    report = analyze_spectrum(PowerSpectrum(k, 1e-3 + bumps.sum(axis=1)))
+    npt.assert_array_equal(report.locations.round(), [10, 11, 30, 31])
+    assert report.regularity < 0.5
+    assert not report.detected
+    assert report.failed_threshold == "regularity_min"
 
 
 def test_pure_sinusoid_period():

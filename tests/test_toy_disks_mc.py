@@ -197,6 +197,20 @@ def test_rms_is_missing_for_a_single_realization():
     assert stats.per_realization.shape == (1, 24)
 
 
+def test_sparse_ensemble_has_a_mean_wherever_pairs_were_caught():
+    # Every realization leaves bins empty.  An empty bin is a measured
+    # DD = 0, so xi = -1 there; it must neither poison the bin's ensemble
+    # mean with NaN nor be skipped, which would bias sparse bins upward.
+    cfg = DiskEnsembleConfig(n_disks=3, points_per_disk=2, n_realizations=20, n_bins=64)
+    stats = run_ensemble(cfg)
+    caught = stats.n_pairs > 0
+    assert 0 < caught.sum() < caught.size
+    per = np.where(np.isnan(stats.per_realization), -1.0, stats.per_realization)
+    npt.assert_array_equal(stats.mean[caught], per.mean(axis=0)[caught])
+    npt.assert_array_equal(stats.rms[caught], per.std(axis=0, ddof=1)[caught])
+    assert np.all(np.isnan(stats.mean[~caught])) and np.all(np.isnan(stats.rms[~caught]))
+
+
 def test_rms_shrinks_like_root_n_realizations():
     # the ensemble spread is a property of one realization; the error of
     # the MEAN scales as 1/sqrt(n). Check the mean of two disjoint

@@ -11,9 +11,11 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import legval
 from scipy.optimize import brentq
-from scipy.special import j0, roots_legendre
+from scipy.special import eval_legendre, j0, roots_legendre
 
 from corrpeaks import (
     ExtrapolationError,
@@ -95,6 +97,91 @@ def test_round_trip_through_a_model_spectrum():
     )
     scale = np.max(np.abs(spec.values))
     npt.assert_allclose(back.values, spec.values, atol=1e-8 * scale)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    ell_max=st.integers(1, 64),
+    cuts_deg=st.lists(st.integers(1, 179), unique=True, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_round_trip_at_random_band_limits_and_breakpoints(ell_max, cuts_deg, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.5, 1.5, ell_max + 1) * rng.choice([-1.0, 1.0], ell_max + 1)
+    spec = PowerSpectrum(np.arange(ell_max + 1.0), values)
+    breakpoints = np.radians(cuts_deg)
+
+    theta, _ = panel_nodes(breakpoints, 4096)
+    tab = correlation_from_spectrum(spec, theta)
+    back = legendre_coefficients(tab, ell_max=ell_max, breakpoints=breakpoints)
+
+    err = np.max(np.abs(back.values - values) / np.abs(values))
+    assert err < 1e-8, f"round trip error {err:.3e}"
+
+
+@pytest.mark.parametrize("n_nodes", [4096, 8192, 1000, 100, 10])
+@pytest.mark.parametrize("cuts_deg", [(), (1.03,), (2.0, 4.0), (2.29, 38.2), (0.01, 90.0, 179.9)])
+def test_panel_orders_keep_the_full_range_density(n_nodes, cuts_deg):
+    cuts = [0.0, *np.radians(cuts_deg), math.pi]
+    theta, w = panel_nodes(cuts[1:-1], n_nodes)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        inside = (theta > a) & (theta < b)
+        order = int(inside.sum())
+        share = math.ceil(n_nodes * (b - a) / math.pi)
+        assert share <= order <= min(n_nodes, max(64, 2 * share))
+        assert order == n_nodes or order & (order - 1) == 0
+        npt.assert_allclose(w[inside].sum(), b - a, rtol=1e-13)
+    assert theta.size == w.size
+
+
+@pytest.mark.parametrize("ell_max, n_nodes", [(2000, 4096), (6000, 8192)])
+def test_cap_spectrum_matches_closed_form(ell_max, n_nodes):
+    # C = 1 inside a cap of radius theta0 and exactly 0 outside, so the
+    # whole outer panel is dropped.  Its transform is
+    # 2 pi (P_{l-1} - P_{l+1})(cos theta0) / (2l + 1), and 2 pi (1 - cos theta0) at l = 0.
+    theta0 = math.radians(3.0)
+    spec = legendre_coefficients(
+        lambda t: (t <= theta0).astype(float), ell_max=ell_max,
+        breakpoints=(theta0,), n_nodes=n_nodes,
+    )
+    ell = np.arange(1, ell_max + 1)
+    x0 = math.cos(theta0)
+    expect = np.r_[
+        2.0 * math.pi * (1.0 - x0),
+        2.0 * math.pi * (eval_legendre(ell - 1, x0) - eval_legendre(ell + 1, x0)) / (2 * ell + 1),
+    ]
+    scale = np.max(np.abs(expect))
+    npt.assert_allclose(spec.values, expect, rtol=0.0, atol=1e-10 * scale)
+
+
+def test_dropping_zero_weight_nodes_changes_nothing():
+    # toy2-uniform vanishes exactly beyond 2 R_max = 4 deg.  A copy that is
+    # 1e-200 there keeps every node; its extra terms are far below 1e-12.
+    model = default_model("toy2-uniform")
+
+    def floored(theta):
+        values = model(theta)
+        return np.where(values == 0.0, 1e-200, values)
+
+    bps = model.breakpoints()
+    pruned = legendre_coefficients(model, ell_max=2000).values
+    full = legendre_coefficients(floored, ell_max=2000, breakpoints=bps).values
+    npt.assert_allclose(pruned, full, rtol=0.0, atol=1e-12 * np.max(np.abs(full)))
+
+    k = np.arange(0, 2000, 7) + 0.5
+    pruned = small_angle_spectrum(model, k).values
+    full = small_angle_spectrum(floored, k, breakpoints=bps).values
+    npt.assert_allclose(pruned, full, rtol=0.0, atol=1e-12 * np.max(np.abs(full)))
+
+
+def test_empty_and_nonpositive_sizes_are_rejected():
+    with pytest.raises(ValueError, match="empty"):
+        small_angle_spectrum(default_model("c2"), np.array([]))
+    for n_nodes in (0, -4):
+        with pytest.raises(ValueError, match="n_nodes"):
+            panel_nodes((), n_nodes)
+        with pytest.raises(ValueError, match="n_nodes"):
+            legendre_coefficients(default_model("c1"), ell_max=4, n_nodes=n_nodes)
 
 
 def test_resum_rejects_non_multipole_grids():
