@@ -50,11 +50,8 @@ from .toy_disks_analytic import (
     poisson_centers,
     hard_core_centers,
     clustered_centers,
-    theta_j_roots,
     same_disk_integral,
     other_disk_integral,
-    integrate_Is,
-    integrate_Io,
     correlation_toy1,
     preset_case,
 )
@@ -83,8 +80,7 @@ __all__ = [
     "envelope_decay_exponent", "oscillation_score", "analyze_spectrum",
     "DiskProfile", "CenterCorrelation", "top_hat_disk", "exponential_disk",
     "poisson_centers", "hard_core_centers", "clustered_centers",
-    "theta_j_roots", "same_disk_integral", "other_disk_integral",
-    "integrate_Is", "integrate_Io", "correlation_toy1", "preset_case",
+    "same_disk_integral", "other_disk_integral", "correlation_toy1", "preset_case",
     "DiskEnsembleConfig", "RealizationStats", "PackingError",
     "realization_rng", "sample_centers", "sample_disk_points",
     "estimate_correlation", "pair_count_baseline", "run_ensemble",

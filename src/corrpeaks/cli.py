@@ -256,10 +256,20 @@ def _resolve_model(args, config):
     return None, None
 
 
+def _print_verdict_reason(report):
+    # Diagnostics go to stderr so stdout and every output file stay as they are.
+    print(
+        f"verdict: regularity={report.regularity:.3g} "
+        f"failed_threshold={report.failed_threshold or 'none'}",
+        file=sys.stderr,
+    )
+
+
 def _print_peak_preview(spec):
     if spec.grid.size < 16:
         return
     report = analyze_spectrum(spec)
+    _print_verdict_reason(report)
     if report.n_peaks == 0:
         print("peaks: none detected")
         return
@@ -364,6 +374,7 @@ def cmd_toy2(args):
         f"oscillation detected: {str(report.detected).lower()} "
         f"(peaks={report.n_peaks}, quasi_period={report.quasi_period:.6g})"
     )
+    _print_verdict_reason(report)
     _write_gnuplot(args, spec_name, "1:2", f"toy2 {args.variant} spectrum")
     return 0
 
@@ -475,6 +486,7 @@ def cmd_analyze(args):
         f"oscillation detected: {str(report.detected).lower()} "
         f"(peaks={report.n_peaks}, score={report.score:.3g})"
     )
+    _print_verdict_reason(report)
     return 0
 
 

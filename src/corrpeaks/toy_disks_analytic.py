@@ -1,25 +1,30 @@
 """Exact correlation function of a field of randomly placed disks.
 
 The sky is a superposition of disks of angular radius R with radial
-brightness profile f, centers laid down by a point process whose
-two-point correlation is omega.  For a point at radius theta_i inside
-one disk, the pair integral at separation theta splits into a same-disk
-term I_s and an other-disk term I_o, and
+brightness profile f, centers laid down by a point process of mean
+density n = N_c / (4 pi) and two-point correlation omega.  A pair of
+field points lies in one disk or in two, which splits the correlation
+into a same-disk and an other-disk term (the one- and two-halo terms of
+halo models, Cooray & Sheth, Phys. Rep. 372, 1, 2002):
 
-    C(theta) = N_c / (4 pi theta) *
-               Integral_0^R dtheta_i theta_i f(theta_i) [I_s + I_o]
+    C(theta) = n A(theta)
+               + n^2 Integral_0^2R ds s A(s) Integral_0^2pi dphi
+                     [1 + omega(|theta e - s e(phi)|)]
 
-in the flat-sky limit (all angles well below a radian).
+in the flat-sky limit (all angles well below a radian).  Here
 
-Both terms reduce to line integrals of f over the circle of radius theta
-around the field point: I_s against the point's own disk, I_o against a
-disk whose center sits at distance u, weighted by the density of other
-centers at that distance.  Parametrising those circles by their central
-angle makes every integrand bounded; the square-root edge singularity of
-the equivalent root-sum form (see ``theta_j_roots``) never appears, so
-plain panelised Gauss-Legendre quadrature converges fast.  Panels are cut
-wherever a circle starts or stops intersecting a disk edge or a breakpoint
-of omega, which is where the integrands kink.
+    A(s) = Integral d^2x f(|x|) f(|x + s e|)
+
+is the overlap of two profiles whose centers sit s apart (the lens area
+for a top hat), and the phi integral is the center pair density averaged
+over the ring of center offsets s around the separation vector.
+
+A(s) is an integral over circle radii rho about one center of f(rho)
+times the line integral of f along that circle in the other disk.
+Parametrising every circle by its central angle keeps all integrands
+bounded, so plain panelised Gauss-Legendre quadrature converges fast.
+Panels are cut wherever a circle starts or stops crossing a disk edge, a
+profile kink or a breakpoint of omega, which is where the integrands kink.
 """
 
 import math
@@ -37,21 +42,20 @@ __all__ = [
     "poisson_centers",
     "hard_core_centers",
     "clustered_centers",
-    "theta_j_roots",
     "same_disk_integral",
     "other_disk_integral",
-    "integrate_Is",
-    "integrate_Io",
     "correlation_toy1",
     "preset_case",
 ]
 
-# Quadrature orders per panel; calibrated so the equal-radius Poisson
-# case matches its closed form to ~1e-5, far below MC error bars.
+# Gauss-Legendre orders per panel: along a circle's arc (psi), over circle
+# radii (rho), over center offsets (s) and around the ring of offsets
+# (phi).  With them the equal-radius Poisson case matches its closed form
+# to ~1e-6, far below MC error bars.
 N_PSI = 64
-N_BETA = 48
+N_RHO = 48
 N_S = 32
-N_THETA_I = 48
+N_PHI = 48
 
 DEFAULT_N_DISKS = 1000
 
@@ -87,7 +91,8 @@ class CenterCorrelation:
 
     The pair density of centers at separation theta is proportional to
     1 + omega(theta), so omega must stay >= -1.  ``breakpoints`` lists
-    the separations where omega jumps or kinks.
+    the separations where omega jumps or kinks; 0 marks a cone at zero
+    separation.
     """
 
     omega: callable
@@ -134,35 +139,7 @@ def clustered_centers(scale, amplitude=2.0):
     s, a = float(scale), float(amplitude)
     if s <= 0 or a < 0:
         raise ValueError("need scale > 0 and amplitude >= 0")
-    return CenterCorrelation(lambda th: a * np.exp(-th / s) - 1.0, (), "clustered")
-
-
-def theta_j_roots(theta, theta_i, phi_j, theta_o=0.0, phi_o=0.0, radius=1.0):
-    """Radii theta_j at which the direction phi_j meets the separation circle.
-
-    Planar geometry: the field point sits at (theta_i, 0) from its disk
-    center, a second disk center at polar (theta_o, phi_o), and a
-    candidate point at radius theta_j along direction phi_j from that
-    second center.  |x_j - x_i| = theta is a quadratic in theta_j:
-
-        theta_j = -b +/- sqrt(b^2 - c^2 + theta^2)
-
-    with b = theta_o cos(phi_o - phi_j) - theta_i cos(phi_j) and
-    c the distance between x_i and the second center.  Roots are kept
-    when real and within [0, radius]; zero, one, or two may survive.
-    With theta_o = 0 this is the same-disk geometry.
-    """
-    if theta < 0 or theta_i < 0 or theta_o < 0 or radius <= 0:
-        raise ValueError("angles must be nonnegative and radius positive")
-    b = theta_o * math.cos(phi_o - phi_j) - theta_i * math.cos(phi_j)
-    c2 = theta_o**2 + theta_i**2 - 2.0 * theta_i * theta_o * math.cos(phi_o)
-    disc = b * b - c2 + theta * theta
-    if disc < 0:
-        return np.array([])
-    root = math.sqrt(disc)
-    candidates = (-b - root, -b + root)
-    keep = [r for r in candidates if -1e-15 <= r <= radius]
-    return np.array(sorted(max(r, 0.0) for r in keep))
+    return CenterCorrelation(lambda th: a * np.exp(-th / s) - 1.0, (0.0,), "clustered")
 
 
 def _mapped_gl(cuts, n):
@@ -194,122 +171,104 @@ def _crossing_angle(level, d0, d1):
     return np.arccos(np.clip((level**2 - d0**2 - d1**2) / den, -1.0, 1.0))
 
 
-def _ring_profile_integral(theta, u, profile, n_psi=N_PSI):
-    """Line integral of the profile over a circle of radius theta.
+def _ring_profile_integral(radius, offset, profile):
+    """Line integral of the profile along circles of the given radii.
 
-    The circle is centered at distance u (array) from the disk center;
-    the profile is zero outside the disk, so integration starts at the
-    angle where the circle enters it.  By symmetry only [0, pi] is
-    integrated and doubled.
+    Each circle (``radius`` an array) is centered ``offset`` (an array of
+    the same shape) from the disk center; the profile is zero outside the
+    disk, so integration starts at the angle where the circle enters it.
+    By symmetry only [0, pi] is integrated and doubled.
     """
-    u = np.asarray(u, dtype=float)
-    levels = [profile.radius] + sorted(profile.breakpoints, reverse=True)
-    cut_cols = [_crossing_angle(lv, u, theta) for lv in levels]
-    cuts = np.sort(np.stack(cut_cols + [np.full_like(u, math.pi)], axis=1), axis=1)
-    psi, w = _mapped_gl(cuts, n_psi)
-    d = np.sqrt(
-        np.maximum(u[:, None] ** 2 + theta**2 + 2.0 * u[:, None] * theta * np.cos(psi), 0.0)
-    )
+    levels = [profile.radius, *profile.breakpoints]
+    cut_cols = [_crossing_angle(lv, offset, radius) for lv in levels]
+    cuts = np.sort(np.stack(cut_cols + [np.full_like(radius, math.pi)], axis=1), axis=1)
+    psi, w = _mapped_gl(cuts, N_PSI)
+    d = np.sqrt(np.maximum(
+        offset[:, None] ** 2 + radius[:, None] ** 2
+        + 2.0 * offset[:, None] * radius[:, None] * np.cos(psi), 0.0))
     vals = profile.f(np.minimum(d, profile.radius))
-    return 2.0 * theta * np.sum(w * vals, axis=1)
+    return 2.0 * radius * np.sum(w * vals, axis=1)
 
 
-def _center_density_integral(theta_i, u, centers, n_c, n_beta=N_BETA):
-    """Integral of the other-center density over a circle around the point.
+def _center_density_integral(theta, s, centers):
+    """Integral of 1 + omega around the ring of center offsets s (array).
 
-    For a field point at radius theta_i in its disk, integrates
-    P(theta_o) = (n_c / 4 pi)(1 + omega(theta_o)) over the directions of
-    second centers at distance u (2-D array over theta_i rows), where
-    theta_o is the second center's distance from the first disk's center.
+    The center separation on that ring is |theta e - s e(phi)|; by
+    symmetry only half the ring is integrated and doubled.  Panels are
+    cut where the separation crosses a breakpoint of omega.
     """
-    rows, cols = u.shape
-    ti = np.broadcast_to(theta_i[:, None], u.shape).reshape(-1)
-    uu = u.reshape(-1)
-    cut_cols = [_crossing_angle(b, ti, uu) for b in centers.breakpoints]
+    cut_cols = [_crossing_angle(b, theta, s) for b in centers.breakpoints]
     cuts = np.sort(
-        np.stack([np.zeros_like(uu)] + cut_cols + [np.full_like(uu, math.pi)], axis=1),
+        np.stack([np.zeros_like(s)] + cut_cols + [np.full_like(s, math.pi)], axis=1),
         axis=1,
     )
-    beta, w = _mapped_gl(cuts, n_beta)
-    theta_o = np.sqrt(
-        np.maximum(ti[:, None] ** 2 + uu[:, None] ** 2
-                   + 2.0 * ti[:, None] * uu[:, None] * np.cos(beta), 0.0)
-    )
-    dens = 1.0 + np.asarray(centers.omega(theta_o), dtype=float)
+    phi, w = _mapped_gl(cuts, N_PHI)
+    sep = np.sqrt(np.maximum(
+        theta**2 + s[:, None] ** 2 + 2.0 * theta * s[:, None] * np.cos(phi), 0.0))
+    dens = 1.0 + np.asarray(centers.omega(sep), dtype=float)
     np.maximum(dens, 0.0, out=dens)  # omega >= -1 up to roundoff
-    integral = 2.0 * np.sum(w * dens, axis=1)
-    return (n_c / (4.0 * math.pi)) * integral.reshape(rows, cols)
+    return 2.0 * np.sum(w * dens, axis=1)
 
 
-def same_disk_integral(theta, theta_i, profile, n_psi=N_PSI):
-    """Same-disk term I_s: profile line integral over the separation circle.
-
-    Equals the root-sum form integrated over phi_j with its analytic
-    Jacobian theta/sqrt(discriminant); this parametrisation traces the
-    identical circle arc directly, with no edge singularity.  Vanishes
-    for theta > 2R by geometry.
-    """
-    if theta < 0:
+def _check_angles(theta):
+    theta = np.asarray(theta, dtype=float)
+    if np.any(theta < 0):
         raise ValueError("theta must be nonnegative")
-    scalar = np.ndim(theta_i) == 0
-    ti = np.atleast_1d(np.asarray(theta_i, dtype=float))
-    if np.any(ti < 0) or np.any(ti > profile.radius + 1e-12):
-        raise ValueError("theta_i must lie in [0, R]")
-    if theta == 0:
-        out = np.zeros_like(ti)
-        return out[0] if scalar else out
-    out = _ring_profile_integral(theta, ti, profile, n_psi)
-    return out[0] if scalar else out
+    return theta
 
 
-def other_disk_integral(theta, theta_i, profile, centers, n_disks,
-                        n_s=N_S, n_beta=N_BETA, n_psi=N_PSI):
-    """Other-disk term I_o at separation theta for a point at radius theta_i.
+def same_disk_integral(theta, profile):
+    """Overlap A(theta) of two disk profiles whose centers sit theta apart.
 
-    Radially integrates (center density at distance u) x (profile line
-    integral against a disk centered there) out to u = theta + R, beyond
-    which the separation circle cannot touch the disk.  Radial panels cut
-    where the circle geometry changes (|theta - R|, theta + R, profile
-    kinks) and where omega breakpoints sweep past (b -/+ theta_i).
+    A(theta) = Integral d^2x f(|x|) f(|x + theta e|): the lens area for a
+    top hat, zero from theta = 2R on; the same-disk term of the
+    correlation is n A(theta).  Vectorised over ``theta``.  Radius panels
+    are cut where the circles about one center start or stop crossing
+    the other disk's edge or profile kinks.
+    """
+    theta = _check_angles(theta)
+    s = theta.reshape(-1)
+    cut_cols = [np.zeros_like(s), np.full_like(s, profile.radius)]
+    cut_cols += [np.abs(s - lv) for lv in (profile.radius, *profile.breakpoints)]
+    for b in profile.breakpoints:
+        cut_cols += [s + b, np.full_like(s, b)]
+    cuts = np.sort(np.clip(np.stack(cut_cols, axis=1), 0.0, profile.radius), axis=1)
+    rho, w = _mapped_gl(cuts, N_RHO)
+    offset = np.broadcast_to(s[:, None], rho.shape)
+    ring = _ring_profile_integral(rho.reshape(-1), offset.reshape(-1), profile)
+    out = np.sum(w * profile.f(rho) * ring.reshape(rho.shape), axis=1)
+    return out.reshape(theta.shape)[()]
+
+
+def other_disk_integral(theta, profile, centers, n_disks):
+    """Other-disk term of the correlation at separations theta.
+
+    n^2 Integral_0^2R ds s A(s) Integral_0^2pi dphi [1 + omega], with the
+    center pair density averaged around the ring of center offsets s.
+    Offset panels are cut where A kinks (sums and differences of R and the
+    profile kinks) and where an omega breakpoint b sweeps past the ring
+    (|theta - b| and theta + b).  Vectorised over ``theta``; one angle at
+    a time, which bounds memory.
     """
     if n_disks <= 0:
         raise ValueError("n_disks must be positive")
-    scalar = np.ndim(theta_i) == 0
-    ti = np.atleast_1d(np.asarray(theta_i, dtype=float))
-    if theta <= 0:
-        out = np.zeros_like(ti)
-        return out[0] if scalar else out
-
-    r_disk = profile.radius
-    u_max = theta + r_disk
-    fixed = {abs(theta - r_disk)}
-    for rb in profile.breakpoints:
-        fixed.update((abs(theta - rb), theta + rb))
-    fixed = sorted(c for c in fixed if 0.0 < c < u_max)
-
-    n_rows = ti.size
-    cut_list = [np.zeros(n_rows)]
-    cut_list += [np.full(n_rows, c) for c in fixed]
-    for b in centers.breakpoints:
-        cut_list.append(np.clip(np.abs(b - ti), 0.0, u_max))
-        cut_list.append(np.clip(b + ti, 0.0, u_max))
-    cut_list.append(np.full(n_rows, u_max))
-    cuts = np.sort(np.stack(cut_list, axis=1), axis=1)
-
-    u, w = _mapped_gl(cuts, n_s)
-    ring = _ring_profile_integral(theta, u.reshape(-1), profile, n_psi).reshape(u.shape)
-    dens = _center_density_integral(ti, u, centers, n_disks, n_beta)
-    out = np.sum(w * u * dens * ring, axis=1)
-    return out[0] if scalar else out
+    theta = _check_angles(theta)
+    reach = 2.0 * profile.radius
+    levels = (profile.radius, *profile.breakpoints)
+    fixed = [0.0, reach] + [c for a in levels for b in levels for c in (a + b, abs(a - b))]
+    out = np.empty(theta.size)
+    for k, t in enumerate(theta.reshape(-1)):
+        cuts = fixed + [c for b in centers.breakpoints for c in (abs(t - b), t + b)]
+        cuts = np.unique(np.clip(cuts, 0.0, reach))
+        s, w = _mapped_gl(cuts[None, :], N_S)
+        s, w = s[0], w[0]
+        density = _center_density_integral(t, s, centers)
+        out[k] = np.sum(w * s * same_disk_integral(s, profile) * density)
+    rate = n_disks / (4.0 * math.pi)
+    return (rate**2 * out).reshape(theta.shape)[()]
 
 
-# Spec-facing aliases for the two inner integrals.
-integrate_Is = same_disk_integral
-integrate_Io = other_disk_integral
-
-
-def correlation_toy1(theta_grid, profile, omega, n_disks=DEFAULT_N_DISKS,
-                     n_theta_i=N_THETA_I, n_s=N_S, n_beta=N_BETA, n_psi=N_PSI):
+def correlation_toy1(theta_grid, profile, omega, n_disks=DEFAULT_N_DISKS):
     """Correlation function of the disk field on a positive theta grid.
 
     Parameters
@@ -335,25 +294,10 @@ def correlation_toy1(theta_grid, profile, omega, n_disks=DEFAULT_N_DISKS,
     if n_disks <= 0:
         raise ValueError("n_disks must be positive")
 
-    r_disk = profile.radius
-    out = np.empty_like(theta_grid)
-    for k, theta in enumerate(theta_grid):
-        inner = {abs(theta - r_disk)}
-        inner.update(profile.breakpoints)
-        for rb in profile.breakpoints:
-            inner.update((abs(theta - rb), theta + rb))
-        cuts = np.array([[0.0, *sorted(c for c in inner if 0.0 < c < r_disk), r_disk]])
-        ti, w = _mapped_gl(cuts, n_theta_i)
-        ti, w = ti[0], w[0]
-
-        kernel = same_disk_integral(theta, ti, profile, n_psi)
-        if omega is not None:
-            kernel = kernel + other_disk_integral(
-                theta, ti, profile, omega, n_disks, n_s, n_beta, n_psi
-            )
-        total = np.sum(w * ti * profile.f(ti) * kernel)
-        out[k] = n_disks / (4.0 * math.pi * theta) * total
-    return TabulatedCorrelation(theta_grid, out)
+    values = n_disks / (4.0 * math.pi) * same_disk_integral(theta_grid, profile)
+    if omega is not None:
+        values = values + other_disk_integral(theta_grid, profile, omega, n_disks)
+    return TabulatedCorrelation(theta_grid, values)
 
 
 def preset_case(label, radius=math.radians(1.0)):

@@ -17,6 +17,7 @@ exactly zero are dropped before the multipole or wavenumber loop.
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -113,8 +114,11 @@ class TabulatedCorrelation:
                 "requested angle outside tabulated range "
                 f"[{self.theta[0]:.6g}, {self.theta[-1]:.6g}] rad"
             )
-        spl = CubicSpline(self.theta, self.values)
-        return spl(np.clip(theta, self.theta[0], self.theta[-1]))
+        return self._spline(np.clip(theta, self.theta[0], self.theta[-1]))
+
+    @cached_property
+    def _spline(self):
+        return CubicSpline(self.theta, self.values)
 
 
 @dataclass(frozen=True)
@@ -249,12 +253,6 @@ def _sample_correlation(corr, theta):
             corr.theta, theta, rtol=0.0, atol=NODE_MATCH_ATOL
         ):
             return corr.values
-        if corr.theta[0] > theta.min() + NODE_MATCH_ATOL or corr.theta[-1] < theta.max() - NODE_MATCH_ATOL:
-            raise ExtrapolationError(
-                "tabulated correlation does not cover the integration range; "
-                f"grid ends at {np.degrees(corr.theta[-1]):.4g} deg"
-            )
-        return CubicSpline(corr.theta, corr.values)(theta)
     return np.asarray(corr(theta), dtype=float)
 
 

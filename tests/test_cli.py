@@ -94,6 +94,26 @@ def test_analyze_reports_verdict(tmp_path, capsys):
     assert float(summary["quasi_period"]) == pytest.approx(np.pi / 3, rel=0.02)
 
 
+def test_verdict_reasons_go_to_stderr_only(tmp_path, capsys):
+    k = np.linspace(0.5, 80.0, 5000)
+    write_spectrum(tmp_path / "osc.csv", PowerSpectrum(k, np.sin(3 * k) ** 2 + 1e-9))
+    write_spectrum(tmp_path / "flat.csv", PowerSpectrum(k, np.exp(-k)))
+    for stem, failed in (("osc", "none"), ("flat", "min_peaks")):
+        assert run("--out-dir", tmp_path, "analyze", "--input", tmp_path / f"{stem}.csv") == 0
+        out, err = capsys.readouterr()
+        assert f"failed_threshold={failed}" in err and "regularity=" in err
+        assert "regularity" not in out
+        for name in (f"{stem}_peaks.csv", f"{stem}_summary.txt"):
+            assert "regularity" not in (tmp_path / name).read_text()
+
+    assert run("--out-dir", tmp_path, "toy2", "--variant", "uniform", "--ell-max", "600") == 0
+    err = capsys.readouterr().err
+    assert "regularity=" in err and "failed_threshold=" in err
+    assert run("--out-dir", tmp_path, "transform", "--model", "c2", "--ell-max", "300") == 0
+    err = capsys.readouterr().err
+    assert "regularity=" in err and "failed_threshold=" in err
+
+
 def test_mc_is_byte_deterministic(tmp_path):
     argv = ("mc", "--n-disks", "30", "--points-per-disk", "8",
             "--realizations", "6", "--patch-size", "0.5", "--n-bins", "16")

@@ -1,7 +1,8 @@
-"""Analytic disk-field correlation: geometry roots, ring integrals, presets.
+"""Analytic disk-field correlation: profile overlaps, other-disk term, presets.
 
-The reference values are geometry (lens areas, uniform baselines) and
-brute-force Monte Carlo estimates computed in the tests themselves.
+The reference values are geometry (lens areas, uniform baselines),
+brute-force Monte Carlo estimates and ``scipy.integrate.quad`` evaluations
+of the defining plane integrals, all computed in the tests themselves.
 """
 
 import math
@@ -9,6 +10,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import integrate
 
 from corrpeaks import (
     CenterCorrelation,
@@ -17,16 +19,17 @@ from corrpeaks import (
     correlation_toy1,
     exponential_disk,
     hard_core_centers,
-    integrate_Io,
-    integrate_Is,
+    other_disk_integral,
     poisson_centers,
     preset_case,
-    theta_j_roots,
+    same_disk_integral,
     top_hat_disk,
 )
+from corrpeaks.toy_disks_analytic import _ring_profile_integral
 
 R = math.radians(1.0)
 N_C = 1000.0
+RATE = N_C / (4 * math.pi)
 
 
 def lens_area(theta, radius):
@@ -46,82 +49,109 @@ def case_a_closed_form(theta):
     return N_C * lens_area(theta, R) / (4 * math.pi) + N_C**2 * R**4 / 16.0
 
 
+def _quad(f, a, b, points=(), epsrel=1e-9):
+    inner = [p for p in points if a < p < b]
+    return integrate.quad(f, a, b, points=inner or None, epsabs=0.0, epsrel=epsrel,
+                          limit=200)[0]
+
+
+def _exp_overlap(s):
+    """Integral of f(|x|) f(|x + s e|) over the plane for f = exp(-r/R), r <= R.
+
+    Polar coordinates (r, psi) about one center; the circle of radius r
+    starts crossing the other disk's edge at r = |R - s| with a square-root
+    onset, which r = |R - s| + t^2 makes smooth.
+    """
+    if s >= 2 * R:
+        return 0.0
+    f = lambda r: math.exp(-r / R)  # noqa: E731
+
+    def arc(r):
+        if r * s == 0:
+            lo = 0.0 if r + s < R else math.pi
+        else:
+            lo = math.acos(min(max((R * R - r * r - s * s) / (2 * r * s), -1.0), 1.0))
+        dist = lambda psi: math.sqrt(max(r * r + s * s + 2 * r * s * math.cos(psi), 0.0))  # noqa: E731
+        return 2.0 * r * f(r) * _quad(lambda psi: f(dist(psi)), lo, math.pi)
+
+    edge = abs(R - s)
+    inside = _quad(arc, 0.0, edge, points=(s,)) if s < R else 0.0
+    crossing = _quad(lambda t: 2 * t * arc(edge + t * t), 0.0, math.sqrt(R - edge),
+                     points=(math.sqrt(abs(s - edge)),))
+    return inside + crossing
+
+
+def plane_integral_reference(case, theta):
+    """C(theta) = n A(theta) + n^2 Integral d^2c (1 + omega(|c|)) A(|c - theta e|).
+
+    The plane integral runs in polar coordinates (s, phi) about theta e.
+    A is the closed-form lens area for the top-hat cases b and c and
+    ``_exp_overlap`` for d.  For b, 1 + omega is 1 on the arc whose
+    centers keep 2R apart and 0 elsewhere; for c and d it is
+    2 exp(-|c|/R), integrated over phi by ``quad``.  The outer tolerance
+    is loose for speed: tightening it to 1e-8 moves the result by about
+    2e-11 of the peak.
+    """
+    if case == "d":
+        overlap = _exp_overlap
+    else:
+        overlap = lambda s: float(lens_area(np.array([s]), R)[0])  # noqa: E731
+
+    def ring(s):
+        if case == "b":
+            cos_lo = (4 * R * R - theta * theta - s * s) / (2 * theta * s)
+            return 2.0 * math.acos(min(max(cos_lo, -1.0), 1.0))
+        sep = lambda b: math.sqrt(max(theta * theta + s * s + 2 * theta * s * math.cos(b), 0.0))  # noqa: E731
+        return 2.0 * _quad(lambda b: 2.0 * math.exp(-sep(b) / R), 0.0, math.pi)
+
+    other = _quad(lambda s: s * overlap(s) * ring(s), 0.0, 2 * R,
+                  points=(theta, abs(2 * R - theta)), epsrel=1e-6)
+    return RATE * overlap(theta) + RATE**2 * other
+
+
 # ---------------------------------------------------------------------------
-# chord geometry
+# profile overlap and its ring integrals
 
 
-def test_theta_j_roots_lie_on_both_circles():
-    rng = np.random.default_rng(3)
-    checked = 0
-    for _ in range(600):
-        theta = rng.uniform(0.0, 2.5) * R
-        theta_i = rng.uniform(0.0, 1.0) * R
-        theta_o = rng.uniform(0.0, 3.0) * R
-        phi_o = rng.uniform(0.0, 2 * math.pi)
-        phi_j = rng.uniform(0.0, 2 * math.pi)
-        roots = theta_j_roots(theta, theta_i, phi_j, theta_o, phi_o, R)
-        x_i = np.array([theta_i, 0.0])
-        center = theta_o * np.array([math.cos(phi_o), math.sin(phi_o)])
-        for r in roots:
-            assert 0.0 <= r <= R
-            x_j = center + r * np.array([math.cos(phi_j), math.sin(phi_j)])
-            assert abs(np.linalg.norm(x_j - x_i) - theta) < 1e-12
-            checked += 1
-    assert checked > 80  # the geometry must actually produce solutions
-
-
-def test_theta_j_roots_single_and_none():
-    # separation along the ray: x_i at origin, other center at distance d
-    # on the phi_j axis; |x_j - x_i| = d + r = theta has one solution
-    d = 0.5 * R
-    roots = theta_j_roots(d + 0.25 * R, 0.0, 0.0, d, 0.0, R)
-    npt.assert_allclose(roots, [0.25 * R], atol=1e-15)
-
-    # far separation: no point of the other disk can reach
-    assert theta_j_roots(4.0 * R, 0.5 * R, 1.0, 1.5 * R, 2.0, R).size == 0
-
-
-def test_theta_j_roots_empty_beyond_reach():
-    rng = np.random.default_rng(9)
-    for _ in range(100):
-        theta_i = rng.uniform(0, R)
-        theta_o = rng.uniform(0, 3 * R)
-        theta = theta_i + theta_o + R + rng.uniform(1e-12, R)
-        assert theta_j_roots(theta, theta_i, rng.uniform(0, 7), theta_o, 1.3, R).size == 0
-
-
-# ---------------------------------------------------------------------------
-# same-disk ring integral
+def test_same_disk_integral_is_the_lens_area_for_a_top_hat():
+    theta = np.linspace(0.0, 2.5 * R, 51)
+    area = same_disk_integral(theta, top_hat_disk(R))
+    assert np.max(np.abs(area - lens_area(theta, R))) <= 1e-6 * math.pi * R**2
+    npt.assert_array_equal(area[theta > 2 * R], 0.0)
 
 
 def test_ring_integral_from_disk_center():
     # from the center, the whole ring of radius theta <= R stays inside:
     # the top-hat integrand is 1 over 2 pi theta of arc length
-    for theta in (0.1 * R, 0.5 * R, 0.999 * R):
-        assert integrate_Is(theta, 0.0, top_hat_disk(R)) == pytest.approx(
-            2 * math.pi * theta, rel=1e-12
-        )
-    assert integrate_Is(2.0 * R + 1e-9, 0.5 * R, top_hat_disk(R)) == 0.0
-    assert integrate_Is(0.0, 0.5 * R, top_hat_disk(R)) == 0.0
+    radii = np.array([0.1 * R, 0.5 * R, 0.999 * R])
+    npt.assert_allclose(_ring_profile_integral(radii, np.zeros(3), top_hat_disk(R)),
+                        2 * math.pi * radii, rtol=1e-12)
+    beyond = _ring_profile_integral(np.array([2.0 * R + 1e-9, 0.0]), np.array([0.5 * R] * 2),
+                                    top_hat_disk(R))
+    npt.assert_array_equal(beyond, 0.0)
 
 
 def test_ring_integral_against_angular_monte_carlo():
-    # I_s(theta; theta_i) = theta * Integral_0^{2 pi} f(|x_i + theta e(psi)|) dpsi
+    # ring(theta; u) = theta * Integral_0^{2 pi} f(|x_u + theta e(psi)|) dpsi
     # restricted to the disk; estimate the angular average by plain MC
     prof = exponential_disk(R)
     rng = np.random.default_rng(12)
     psi = rng.uniform(0.0, 2 * math.pi, 2_000_000)
-    for theta, theta_i in ((0.6 * R, 0.5 * R), (1.3 * R, 0.8 * R)):
-        d = np.sqrt(theta_i**2 + theta**2 + 2 * theta_i * theta * np.cos(psi))
+    for theta, u in ((0.6 * R, 0.5 * R), (1.3 * R, 0.8 * R)):
+        d = np.sqrt(u**2 + theta**2 + 2 * u * theta * np.cos(psi))
         inside = d <= R
         mc = theta * 2 * math.pi * np.mean(prof.f(np.where(inside, d, R)) * inside)
-        exact = integrate_Is(theta, theta_i, prof)
-        assert exact == pytest.approx(mc, rel=7e-3), (theta, theta_i)
+        exact = _ring_profile_integral(np.array([theta]), np.array([u]), prof)[0]
+        assert exact == pytest.approx(mc, rel=7e-3), (theta, u)
 
 
-def test_ring_integral_rejects_outside_sources():
+def test_disk_integrals_reject_negative_angles():
     with pytest.raises(ValueError):
-        integrate_Is(0.5 * R, 1.5 * R, top_hat_disk(R))
+        same_disk_integral(np.array([0.5 * R, -0.1 * R]), top_hat_disk(R))
+    with pytest.raises(ValueError):
+        other_disk_integral(-0.1 * R, top_hat_disk(R), poisson_centers(), N_C)
+    with pytest.raises(ValueError):
+        other_disk_integral(0.5 * R, top_hat_disk(R), poisson_centers(), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -130,23 +160,35 @@ def test_ring_integral_rejects_outside_sources():
 
 def test_fully_anticorrelated_centers_kill_the_cross_term():
     dead = CenterCorrelation(lambda t: np.full_like(t, -1.0), (), "empty")
-    assert integrate_Io(0.5 * R, 0.3 * R, top_hat_disk(R), dead, N_C) == 0.0
+    theta = np.linspace(0.0, 4.0 * R, 9)
+    npt.assert_array_equal(other_disk_integral(theta, top_hat_disk(R), dead, N_C), 0.0)
 
 
 def test_hard_core_exclusion_zone():
-    # centers at least 2R apart: a point theta_i from its center cannot
-    # see any other-disk point closer than R - theta_i
-    centers = hard_core_centers(R)
+    # centers at least 2R apart: at zero separation no two distinct disks
+    # overlap, and from theta = 4R on every contributing center pair is
+    # at least 2R apart, so the exclusion no longer bites
     prof = top_hat_disk(R)
-    theta_i = 0.3 * R
-    assert integrate_Io(0.55 * R, theta_i, prof, centers, N_C) == pytest.approx(0.0, abs=1e-30)
-    # ...but does beyond that
-    assert integrate_Io(1.2 * R, theta_i, prof, centers, N_C) > 0.0
+    hard = hard_core_centers(R)
+    assert other_disk_integral(0.0, prof, hard, N_C) == 0.0
+    far = np.array([4.0 * R, 4.5 * R, 6.0 * R])
+    npt.assert_allclose(other_disk_integral(far, prof, hard, N_C),
+                        other_disk_integral(far, prof, poisson_centers(), N_C), rtol=1e-12)
+    near = np.linspace(0.1 * R, 3.9 * R, 14)
+    assert np.all(other_disk_integral(near, prof, hard, N_C)
+                  < other_disk_integral(near, prof, poisson_centers(), N_C))
 
 
 def test_cross_term_positive_for_poisson():
-    val = integrate_Io(0.7 * R, 0.4 * R, top_hat_disk(R), poisson_centers(), N_C)
-    assert val > 0.0
+    # uncorrelated centers: the other-disk term is the flat baseline
+    # n^2 (Integral f d^2x)^2 at every separation
+    theta = np.linspace(0.05 * R, 4.0 * R, 12)
+    mass = {"a": math.pi * R**2, "d": 2 * math.pi * R**2 * (1 - 2 / math.e)}
+    for case, integral in mass.items():
+        prof, _ = preset_case(case)
+        tab = correlation_toy1(theta, prof, poisson_centers(), N_C)
+        cross = tab.values - RATE * same_disk_integral(theta, prof)
+        npt.assert_allclose(cross, RATE**2 * integral**2, rtol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +200,17 @@ def test_case_a_matches_closed_form():
     theta = np.linspace(0.05 * R, 4.0 * R, 36)
     tab = correlation_toy1(theta, prof, centers, N_C)
     ref = case_a_closed_form(theta)
-    npt.assert_allclose(tab.values, ref, rtol=2e-4)
+    npt.assert_allclose(tab.values, ref, rtol=5e-6)
+
+
+@pytest.mark.parametrize("case", ["b", "c", "d"])
+def test_preset_cases_match_the_plane_integral(case):
+    # angles on both sides of theta = 2R, where the overlap ends; near
+    # 0.8R, c and d also need the offset cut at the cone of omega (b = 0)
+    theta = np.array([0.3 * R, 0.8 * R, 2.6 * R])
+    tab = correlation_toy1(theta, *preset_case(case), N_C)
+    ref = np.array([plane_integral_reference(case, t) for t in theta])
+    assert np.max(np.abs(tab.values - ref)) <= 1e-6 * np.max(np.abs(ref))
 
 
 def test_case_a_baseline_is_flat_beyond_the_disk_diameter():
@@ -192,12 +244,10 @@ def test_clustering_enhances_the_cross_term_when_its_range_dominates():
     # with a clustering scale much larger than everything else, every
     # contributing center separation sees density ~ 2 exp(-u/s) > 1
     prof = top_hat_disk(R)
-    wide = clustered_centers(10.0 * R)
-    flat = poisson_centers()
-    for theta, theta_i in ((0.7 * R, 0.4 * R), (1.5 * R, 0.2 * R)):
-        enhanced = integrate_Io(theta, theta_i, prof, wide, N_C)
-        plain = integrate_Io(theta, theta_i, prof, flat, N_C)
-        assert plain < enhanced < 2.0 * plain
+    theta = np.array([0.7 * R, 1.5 * R])
+    enhanced = other_disk_integral(theta, prof, clustered_centers(10.0 * R), N_C)
+    plain = other_disk_integral(theta, prof, poisson_centers(), N_C)
+    assert np.all((plain < enhanced) & (enhanced < 2.0 * plain))
 
 
 def test_scale_r_clustering_drains_the_large_angle_baseline():

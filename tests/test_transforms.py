@@ -30,6 +30,7 @@ from corrpeaks import (
     spherical_box_ft,
     triangle_profile,
 )
+from corrpeaks import transforms
 from corrpeaks.corr_models import default_model
 from corrpeaks.transforms import panel_nodes
 
@@ -195,6 +196,25 @@ def test_tabulated_input_must_cover_the_sphere():
     tab = TabulatedCorrelation(theta, np.exp(-theta))
     with pytest.raises(ExtrapolationError):
         legendre_coefficients(tab, ell_max=4)
+
+
+def test_table_builds_its_spline_once(monkeypatch):
+    built = []
+    original = transforms.CubicSpline
+
+    def counting_spline(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(transforms, "CubicSpline", counting_spline)
+    theta = np.linspace(0.0, math.pi, 400)
+    tab = TabulatedCorrelation(theta, np.exp(-theta))
+    first = tab(np.array([0.1, 0.2]))
+    spec = legendre_coefficients(tab, ell_max=8)
+    npt.assert_array_equal(tab(np.array([0.1, 0.2])), first)
+    npt.assert_allclose(spec.values, legendre_coefficients(lambda t: np.exp(-t), ell_max=8).values,
+                        rtol=1e-6)
+    assert len(built) == 1
 
 
 def test_missing_values_are_rejected_at_transform_time():
