@@ -148,10 +148,6 @@ def build_parser():
         help="legendre: C_ell; smallangle: flat-sky P(k); resum: spectrum -> C(theta)",
     )
     p.add_argument("--ell-max", type=nonnegative_int, default=2000)
-    p.add_argument(
-        "--n-nodes", type=positive_int, default=4096,
-        help="quadrature order of a full-range panel; shorter panels get their length share",
-    )
     p.add_argument("--k-min", type=float, default=2.0)
     p.add_argument("--k-max", type=float, default=2000.0)
     p.add_argument("--n-k", type=positive_int, default=1000)
@@ -306,17 +302,16 @@ def cmd_transform(args):
         raise ValueError("need --model or --input (or a config with model params)")
 
     if args.mode == "legendre":
-        spec = legendre_coefficients(source, ell_max=args.ell_max, n_nodes=args.n_nodes)
+        spec = legendre_coefficients(source, ell_max=args.ell_max)
         manifest = _base_manifest(
-            args, "transform", mode="legendre", source=label,
-            ell_max=args.ell_max, n_nodes=args.n_nodes,
+            args, "transform", mode="legendre", source=label, ell_max=args.ell_max,
         )
     else:
         k_grid = np.linspace(args.k_min, args.k_max, args.n_k)
-        spec = small_angle_spectrum(source, k_grid, n_nodes=args.n_nodes)
+        spec = small_angle_spectrum(source, k_grid)
         manifest = _base_manifest(
             args, "transform", mode="smallangle", source=label,
-            k_min=args.k_min, k_max=args.k_max, n_k=args.n_k, n_nodes=args.n_nodes,
+            k_min=args.k_min, k_max=args.k_max, n_k=args.n_k,
         )
     name = args.output or f"spectrum_{label}_{args.mode}.csv"
     write_spectrum(args.out_dir / name, spec, manifest)
@@ -389,6 +384,13 @@ _MC_CONFIG_KEYS = {
     "n_bins": int,
 }
 
+# mc flag -> DiskEnsembleConfig field; the radius range flags come after these.
+_MC_FLAG_KEYS = {
+    "n_disks": "n_disks", "radius": "radius", "points_per_disk": "points_per_disk",
+    "patch_size": "patch_size", "hard_core": "hard_core", "realizations": "n_realizations",
+    "n_bins": "n_bins", "theta_max": "theta_max",
+}
+
 
 def _mc_config(args):
     """Layer DiskEnsembleConfig from defaults, then config file, then flags."""
@@ -399,7 +401,9 @@ def _mc_config(args):
             values[key] = conv(config[key])
     if "radius_deg" in config:
         values["radius"] = math.radians(float(config["radius_deg"]))
-    if "radius_min_deg" in config and "radius_max_deg" in config:
+    if ("radius_min_deg" in config) != ("radius_max_deg" in config):
+        raise ValueError("config needs both radius_min_deg and radius_max_deg, or neither")
+    if "radius_min_deg" in config:
         values["radius"] = (
             math.radians(float(config["radius_min_deg"])),
             math.radians(float(config["radius_max_deg"])),
@@ -407,24 +411,13 @@ def _mc_config(args):
     if "theta_max_deg" in config:
         values["theta_max"] = math.radians(float(config["theta_max_deg"]))
 
-    if args.n_disks is not None:
-        values["n_disks"] = args.n_disks
-    if args.radius is not None:
-        values["radius"] = args.radius
-    if args.radius_min is not None and args.radius_max is not None:
+    for flag, key in _MC_FLAG_KEYS.items():
+        if getattr(args, flag) is not None:
+            values[key] = getattr(args, flag)
+    if (args.radius_min is None) != (args.radius_max is None):
+        raise ValueError("--radius-min and --radius-max must be given together")
+    if args.radius_min is not None:
         values["radius"] = (args.radius_min, args.radius_max)
-    if args.points_per_disk is not None:
-        values["points_per_disk"] = args.points_per_disk
-    if args.patch_size is not None:
-        values["patch_size"] = args.patch_size
-    if args.hard_core is not None:
-        values["hard_core"] = args.hard_core
-    if args.realizations is not None:
-        values["n_realizations"] = args.realizations
-    if args.n_bins is not None:
-        values["n_bins"] = args.n_bins
-    if args.theta_max is not None:
-        values["theta_max"] = args.theta_max
     values.setdefault("seed", args.seed)
     return DiskEnsembleConfig(**values)
 

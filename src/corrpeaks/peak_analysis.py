@@ -90,12 +90,10 @@ class PeakReport:
 def _moving_average(y, window):
     if window < 1 or window % 2 == 0:
         raise ValueError("smoothing window must be a positive odd integer")
-    if window == 1:
-        return y.copy()
-    half = window // 2
-    padded = np.concatenate([y[half:0:-1], y, y[-2 : -half - 2 : -1]])
-    kernel = np.full(window, 1.0 / window)
-    return np.convolve(padded, kernel, mode="valid")
+    if window // 2 >= y.size:
+        raise ValueError(f"smoothing window {window} exceeds 2 * size - 1 = {2 * y.size - 1}")
+    padded = np.pad(y, window // 2, mode="reflect")
+    return np.convolve(padded, np.full(window, 1.0 / window), mode="valid")
 
 
 def _log_magnitude(values):
@@ -114,8 +112,8 @@ def find_peaks(spec, smoothing_window=SMOOTHING_WINDOW, prominence_frac=PROMINEN
     spec : PowerSpectrum
         Needs at least 16 grid points.
     smoothing_window : odd int
-        Moving-average width applied before extremum search; reflective
-        padding keeps the ends unbiased.
+        Moving-average width applied before extremum search, at most
+        2 * size - 1; reflective padding keeps the ends unbiased.
     prominence_frac : float
         Minimum prominence as a fraction of the smoothed dynamic range.
 

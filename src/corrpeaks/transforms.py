@@ -9,14 +9,14 @@ and the small-angle (flat) limit replaces P_ell(cos theta) by J_0(k theta)
 with k = ell + 1/2.  Everything is evaluated on fixed-order Gauss-Legendre
 nodes; integrands with kinks are handled by splitting the quadrature into
 panels at the model breakpoints, never by adaptive subdivision, so repeated
-runs are bit-identical.  ``n_nodes`` is the order of a full-range panel;
-shorter panels get their length share.  Nodes whose weighted sample is
-exactly zero are dropped before the multipole or wavenumber loop.
+runs are bit-identical.  The full-range order follows from the band limit
+(:func:`_band_order`) and shorter panels get their length share.  Nodes
+whose weighted sample is exactly zero are dropped before the ell or k loop.
 """
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -40,10 +40,8 @@ __all__ = [
     "quadratic_spline_profile",
 ]
 
-# Order of a full-range panel.  4096 nodes resolve P_ell up to
-# ell ~ 2000 with several digits to spare; raise for larger ell_max.
-DEFAULT_NODES = 4096
 MIN_PANEL_NODES = 64
+ORDER_MARGIN = 128
 
 # Tabulated input whose grid coincides with the quadrature nodes to this
 # tolerance is used directly, with no interpolation step at all.
@@ -129,8 +127,7 @@ class PowerSpectrum:
     or a positive wavenumber grid (small-angle side).  Values may dip
     slightly negative; transforms of valid correlation functions do so at
     the quadrature-noise level and genuinely oscillating ones near their
-    zero crossings, so negativity is not rejected here.  Use
-    :meth:`clamped` when a nonnegative version is wanted for display.
+    zero crossings, so negativity is not rejected here.
     """
 
     grid: np.ndarray
@@ -155,10 +152,6 @@ class PowerSpectrum:
         """True when the grid is the contiguous integers 0..ell_max."""
         expect = np.arange(self.grid.size, dtype=float)
         return bool(np.array_equal(self.grid, expect))
-
-    def clamped(self, floor=0.0):
-        """Values clipped from below, for plotting on log axes only."""
-        return np.maximum(self.values, floor)
 
 
 @dataclass(frozen=True)
@@ -205,6 +198,15 @@ def gauss_nodes(n):
 
 
 _NODE_CACHE = {}
+
+
+def _band_order(band, length):
+    """Power of two >= band * length / 2 + ORDER_MARGIN: the full-range order
+    for band = ell_max + 1/2 or max k.  A Legendre round trip has frequency
+    up to 2 band and needs a margin that grows like the cube root of the
+    order (38 nodes at 1024, 98 at 16384); 128 suffices up to 32768."""
+    need = math.ceil(band * length / 2) + ORDER_MARGIN
+    return 1 << (need - 1).bit_length()
 
 
 def panel_nodes(breakpoints, n_nodes, lo=0.0, hi=math.pi):
@@ -291,7 +293,7 @@ def _legendre_rows(x, ell_max):
         p_prev, p = p, p_prev
 
 
-def legendre_coefficients(corr, ell_max=2000, breakpoints=None, n_nodes=DEFAULT_NODES):
+def legendre_coefficients(corr, ell_max=2000, breakpoints=None, n_nodes=None):
     """Legendre coefficients of an angular correlation function.
 
     Parameters
@@ -303,9 +305,10 @@ def legendre_coefficients(corr, ell_max=2000, breakpoints=None, n_nodes=DEFAULT_
         Highest multipole returned.
     breakpoints : sequence, optional
         Extra quadrature cut points in (0, pi); overrides the model's own.
-    n_nodes : int
+    n_nodes : int, optional
         Gauss-Legendre order of a full-range panel; shorter panels get
-        their length share (see :func:`panel_nodes`).
+        their length share (see :func:`panel_nodes`).  Derived from
+        ``ell_max`` when omitted.
 
     Returns
     -------
@@ -320,6 +323,8 @@ def legendre_coefficients(corr, ell_max=2000, breakpoints=None, n_nodes=DEFAULT_
     ell_max = int(ell_max)
     if ell_max < 0:
         raise ValueError("ell_max must be nonnegative")
+    if n_nodes is None:
+        n_nodes = _band_order(ell_max + 0.5, math.pi)
     theta, _, base = _weighted_samples(corr, breakpoints, n_nodes)
     rows = _legendre_rows(np.cos(theta), ell_max)
     out = np.fromiter((base @ p for p in rows), float, count=ell_max + 1)
@@ -366,21 +371,21 @@ def _kernel_sums(kernel, k_grid, x, weighted):
     return out
 
 
-def small_angle_spectrum(corr, k_grid, breakpoints=None, n_nodes=DEFAULT_NODES):
+def small_angle_spectrum(corr, k_grid, breakpoints=None):
     """Flat-sky spectrum P(k) = 2 pi Integral C(theta) J_0(k theta) sin theta dtheta.
 
     Valid when C(theta) has support at small angles; k corresponds to
     ell + 1/2 on the full sky.  A warning is issued when a noticeable
     fraction of C lives beyond 10 degrees, where the approximation and
-    the Legendre transform part ways.  ``n_nodes`` is the order of a
-    full-range panel; shorter panels get their length share.
+    the Legendre transform part ways.  The quadrature order follows
+    from max(k_grid).
     """
     k_grid = _as_float_array(k_grid, "k_grid")
     if k_grid.size == 0:
         raise ValueError("k_grid must not be empty")
     if np.any(np.diff(k_grid) <= 0) or k_grid[0] < 0:
         raise ValueError("k_grid must be nonnegative and strictly increasing")
-    theta, f, base = _weighted_samples(corr, breakpoints, n_nodes)
+    theta, f, base = _weighted_samples(corr, breakpoints, _band_order(k_grid[-1], math.pi))
 
     tail = theta > SMALL_ANGLE_LIMIT
     peak = np.max(np.abs(f), initial=0.0)
@@ -393,17 +398,18 @@ def small_angle_spectrum(corr, k_grid, breakpoints=None, n_nodes=DEFAULT_NODES):
     return PowerSpectrum(k_grid, _kernel_sums(j0, k_grid, theta, base))
 
 
-def ft_1d(profile, k_grid, n_nodes=2048):
+def ft_1d(profile, k_grid):
     """Fourier transform of an even compact profile: 2 Integral_0^xmax f cos(kx) dx.
 
     Quadrature panels end at the profile's interior breakpoints and at the
     support edge, so piecewise-polynomial profiles are integrated exactly
-    up to the oscillation of cos(kx) itself.  ``n_nodes`` is the order of
-    a panel spanning the whole support; shorter panels get their length share.
+    up to the oscillation of cos(kx) itself, with the quadrature order
+    derived from max |k| and the support length.
     """
     if not isinstance(profile, Profile1D):
         raise TypeError("expected a Profile1D")
     k_grid = _as_float_array(k_grid, "k_grid")
+    n_nodes = _band_order(np.max(np.abs(k_grid), initial=0.0), profile.x_max)
     x, w = panel_nodes(profile.breakpoints, n_nodes, lo=0.0, hi=profile.x_max)
     return 2.0 * _kernel_sums(np.cos, k_grid, x, w * profile.fn(x))
 

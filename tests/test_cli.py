@@ -159,6 +159,14 @@ def test_usage_errors_exit_1(tmp_path):
     assert run("--out-dir", tmp_path, "toy2", "--variant", "uniform", "--n-theta", "0") == 1
     assert run("--out-dir", tmp_path, "transform", "--model", "c2",
                "--mode", "smallangle", "--n-k", "0") == 1
+    # a radius range needs both ends, from flags or from a config file
+    assert run("--out-dir", tmp_path, "mc", "--n-disks", "10", "--radius-min", "0.5") == 1
+    (tmp_path / "half.cfg").write_text("n_disks = 10\nradius_min_deg = 0.5\n")
+    assert run("--out-dir", tmp_path, "--config", tmp_path / "half.cfg", "mc") == 1
+    # a smoothing window longer than 2 * size - 1 cannot be padded
+    write_spectrum(tmp_path / "short.csv", PowerSpectrum(np.arange(16.0), 1.0 + np.arange(16.0) % 3))
+    assert run("--out-dir", tmp_path, "analyze", "--input", tmp_path / "short.csv",
+               "--smoothing-window", "33") == 1
 
 
 def test_data_errors_exit_2(tmp_path):

@@ -171,3 +171,12 @@ def test_smoothing_window_must_be_odd():
     spec = airy_squared_spectrum()
     with pytest.raises(ValueError):
         find_peaks(spec, smoothing_window=4)
+
+
+def test_smoothing_window_must_fit_the_spectrum():
+    # Reflective padding needs window // 2 samples on each side.
+    spec = PowerSpectrum(np.arange(16.0), 1.0 + np.arange(16.0) % 3)
+    assert find_peaks(spec, smoothing_window=31)[0].size > 0
+    for window in (33, 41):
+        with pytest.raises(ValueError, match="exceeds"):
+            find_peaks(spec, smoothing_window=window)

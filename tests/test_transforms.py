@@ -53,7 +53,7 @@ def tabulate_on_nodes(fn, breakpoints=(), n_nodes=4096):
 
 def test_constant_correlation_is_pure_monopole():
     tab = tabulate_on_nodes(np.ones_like)
-    spec = legendre_coefficients(tab, ell_max=2)
+    spec = legendre_coefficients(tab, ell_max=2, n_nodes=4096)
     npt.assert_allclose(spec.values[0], FOUR_PI, rtol=1e-12)
     npt.assert_allclose(spec.values[1:], 0.0, atol=FOUR_PI * 1e-12)
 
@@ -62,7 +62,7 @@ def test_single_legendre_mode_projects_cleanly():
     # C(theta) = P_3(cos theta) has coefficient 2*pi * 2/(2l+1) = 4*pi/7
     # at l = 3 and zero elsewhere.
     tab = tabulate_on_nodes(lambda t: legval(np.cos(t), [0, 0, 0, 1]))
-    spec = legendre_coefficients(tab, ell_max=5)
+    spec = legendre_coefficients(tab, ell_max=5, n_nodes=4096)
     expect = np.zeros(6)
     expect[3] = FOUR_PI / 7.0
     npt.assert_allclose(spec.values, expect, atol=1e-12)
@@ -82,7 +82,7 @@ def test_round_trip_band_limited_spectrum():
 
     theta, _ = panel_nodes((), 4096)
     tab = correlation_from_spectrum(spec, theta)
-    back = legendre_coefficients(tab, ell_max=32)
+    back = legendre_coefficients(tab, ell_max=32, n_nodes=4096)
 
     err = np.max(np.abs(back.values - values) / np.abs(values))
     assert err < 1e-8, f"round trip error {err:.3e}"
@@ -94,7 +94,7 @@ def test_round_trip_through_a_model_spectrum():
     spec = legendre_coefficients(default_model("c1"), ell_max=48)
     theta, _ = panel_nodes((), 4096)
     back = legendre_coefficients(
-        correlation_from_spectrum(spec, theta), ell_max=48
+        correlation_from_spectrum(spec, theta), ell_max=48, n_nodes=4096
     )
     scale = np.max(np.abs(spec.values))
     npt.assert_allclose(back.values, spec.values, atol=1e-8 * scale)
@@ -114,10 +114,76 @@ def test_round_trip_at_random_band_limits_and_breakpoints(ell_max, cuts_deg, see
 
     theta, _ = panel_nodes(breakpoints, 4096)
     tab = correlation_from_spectrum(spec, theta)
-    back = legendre_coefficients(tab, ell_max=ell_max, breakpoints=breakpoints)
+    back = legendre_coefficients(tab, ell_max=ell_max, breakpoints=breakpoints, n_nodes=4096)
 
     err = np.max(np.abs(back.values - values) / np.abs(values))
     assert err < 1e-8, f"round trip error {err:.3e}"
+
+
+def _nodes_used(ell_max, monkeypatch):
+    """Quadrature order legendre_coefficients picks for one full-range panel
+    (counted on placeholder nodes, so no large order is built)."""
+    sizes = []
+    with monkeypatch.context() as m:
+        m.setattr(transforms, "gauss_nodes", lambda n: (np.zeros(n), np.ones(n)))
+        legendre_coefficients(lambda t: sizes.append(t.size) or np.zeros_like(t),
+                              ell_max=ell_max, breakpoints=())
+    return sizes[0]
+
+
+@pytest.mark.parametrize("order", [256, 1024, 2048, 4096, 8192, 16384])
+def test_round_trip_just_below_each_order_switch(order, monkeypatch):
+    # The largest ell that still gets ``order`` nodes is where the derived
+    # order has the least room, so the margin of the rule is tested there.
+    lo, hi = 1, 2 * order
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _nodes_used(mid, monkeypatch) <= order else (lo, mid)
+    ell_max = lo
+    assert _nodes_used(ell_max, monkeypatch) == order
+    assert _nodes_used(ell_max + 1, monkeypatch) == 2 * order
+
+    rng = np.random.default_rng(order)
+    values = rng.uniform(0.5, 1.5, ell_max + 1) * rng.choice([-1.0, 1.0], ell_max + 1)
+    spec = PowerSpectrum(np.arange(ell_max + 1.0), values)
+
+    def resummed(theta):
+        out = np.empty_like(theta)
+        out[np.argsort(theta)] = correlation_from_spectrum(spec, theta).values
+        return out
+
+    back = legendre_coefficients(resummed, ell_max=ell_max, breakpoints=())
+    err = np.max(np.abs(back.values - values) / np.abs(values))
+    assert err < 1e-8, f"round trip error {err:.3e} at ell {ell_max}"
+
+
+def _legendre_reference(model, ells, order=128, max_width=math.radians(2.0)):
+    """C_ell by a composite Gauss rule on the model's panels, each split
+    into sub-panels of at most ``max_width``, with scipy's P_ell."""
+    cuts = sorted({0.0, math.pi, *(b for b in model.breakpoints() if 0.0 < b < math.pi)})
+    x, w = roots_legendre(order)
+    theta, weight = [], []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        edges = np.linspace(a, b, math.ceil((b - a) / max_width) + 1)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            theta.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * x)
+            weight.append(0.5 * (hi - lo) * w)
+    theta, weight = np.concatenate(theta), np.concatenate(weight)
+    f = 2.0 * math.pi * weight * np.sin(theta) * model(theta)
+    inside = f != 0.0
+    return np.array([f[inside] @ eval_legendre(ell, np.cos(theta[inside])) for ell in ells])
+
+
+@pytest.mark.parametrize("name", ["c1", "c2", "toy2-uniform", "toy2-distance"])
+def test_default_order_resolves_the_ell_6000_tail(name):
+    # The ell of the tail's largest |C_ell| is always sampled, so a tail
+    # that is wrong by a large factor cannot set its own scale.
+    model = default_model(name)
+    tail = legendre_coefficients(model, ell_max=6000).values[4000:]
+    ells = np.r_[np.linspace(4000, 6000, 7).astype(int), 4000 + int(np.argmax(np.abs(tail)))]
+    expect = _legendre_reference(model, ells)
+    err = np.max(np.abs(tail[ells - 4000] - expect)) / np.max(np.abs(expect))
+    assert err <= 1e-5, f"{name}: ell 4000-6000 error {err:.2e} of the largest |C_ell|"
 
 
 @pytest.mark.parametrize("n_nodes", [4096, 8192, 1000, 100, 10])
@@ -315,6 +381,12 @@ def test_box_transform_closed_form():
     # zeros at multiples of pi
     zeros = ft_1d(prof, np.pi * np.arange(1.0, 9.0))
     npt.assert_allclose(zeros, 0.0, atol=1e-12)
+
+
+def test_box_transform_at_high_k():
+    # Needs an order that follows max k, far above what k <= 250 needs.
+    k = np.linspace(9000.0, 10000.0, 2001)
+    npt.assert_allclose(ft_1d(box_profile(1.0), k), 2.0 * np.sin(k) / k, rtol=0.0, atol=1e-12)
 
 
 def test_triangle_transform_closed_form():
