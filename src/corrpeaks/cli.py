@@ -85,7 +85,6 @@ def _int_at_least(minimum):
 
 
 positive_int = _int_at_least(1)
-nonnegative_int = _int_at_least(0)
 
 
 def _fmt_deg(rad):
@@ -147,10 +146,10 @@ def build_parser():
         default="legendre",
         help="legendre: C_ell; smallangle: flat-sky P(k); resum: spectrum -> C(theta)",
     )
-    p.add_argument("--ell-max", type=nonnegative_int, default=2000)
+    p.add_argument("--ell-max", type=positive_int, default=2000)
     p.add_argument("--k-min", type=float, default=2.0)
     p.add_argument("--k-max", type=float, default=2000.0)
-    p.add_argument("--n-k", type=positive_int, default=1000)
+    p.add_argument("--n-k", type=_int_at_least(2), default=1000)
     p.add_argument("--theta-min", type=parse_angle, default=0.0, help="resum grid start")
     p.add_argument(
         "--theta-max", type=parse_angle, default=math.pi, help="resum grid end"
@@ -183,7 +182,7 @@ def build_parser():
     p.add_argument("--length", type=float, default=1.0)
     p.add_argument("--distance-min", type=float, default=3.0)
     p.add_argument("--distance-max", type=float, default=50.0)
-    p.add_argument("--ell-max", type=nonnegative_int, default=2000)
+    p.add_argument("--ell-max", type=positive_int, default=2000)
     p.add_argument("--n-theta", type=positive_int, default=512, help="correlation output grid")
     p.set_defaults(func=cmd_toy2)
 
@@ -403,6 +402,8 @@ def _mc_config(args):
         values["radius"] = math.radians(float(config["radius_deg"]))
     if ("radius_min_deg" in config) != ("radius_max_deg" in config):
         raise ValueError("config needs both radius_min_deg and radius_max_deg, or neither")
+    if "radius_deg" in config and "radius_min_deg" in config:
+        raise ValueError("config gives both radius_deg and a radius range; keep one")
     if "radius_min_deg" in config:
         values["radius"] = (
             math.radians(float(config["radius_min_deg"])),
@@ -416,6 +417,8 @@ def _mc_config(args):
             values[key] = getattr(args, flag)
     if (args.radius_min is None) != (args.radius_max is None):
         raise ValueError("--radius-min and --radius-max must be given together")
+    if args.radius is not None and args.radius_min is not None:
+        raise ValueError("--radius conflicts with --radius-min/--radius-max; give one")
     if args.radius_min is not None:
         values["radius"] = (args.radius_min, args.radius_max)
     values.setdefault("seed", args.seed)

@@ -1,11 +1,11 @@
-"""Seeded Monte Carlo disk fields on a flat square patch.
+"""Seeded Monte Carlo disk fields on a flat periodic patch.
 
-Each realization draws disk centers (uniform, optionally with a hard-core
-minimum separation), sprinkles points uniformly over each disk's area,
-and estimates the two-point correlation with the pair-count estimator
-DD/RR - 1.  RR comes from the closed form for a uniform process on a
-square rather than from random catalogs, so the estimator carries no
-randoms noise and realizations stay cheap.
+The patch is a torus of side L, so coordinates lie in [0, L) and every
+distance is to the nearest periodic image.  Each realization draws disk
+centers (uniform, optionally hard-core), sprinkles points uniformly over
+each disk's area, and estimates the correlation as DD/RR - 1.  With no
+edge to lose pairs at, RR up to L/2 is exactly the annulus area, so the
+estimator needs neither random catalogs nor an edge correction.
 
 Determinism contract: every realization i derives its generator from
 (seed, i), so ensembles are reproducible bit for bit regardless of how
@@ -103,8 +103,7 @@ class DiskEnsembleConfig:
     def bin_edges(self):
         hi = self.theta_max
         if hi is None:
-            hi = 4.0 * self.radius_range[1]
-            hi = min(hi, self.patch_size / 2)
+            hi = min(4.0 * self.radius_range[1], self.patch_size / 2)
         return np.linspace(0.0, hi, self.n_bins + 1)
 
 
@@ -147,13 +146,19 @@ def realization_rng(seed, index):
     return np.random.default_rng((int(seed), int(index)))
 
 
-def sample_centers(config, rng):
-    """Draw disk centers uniformly in the patch square.
+def _min_image(d, size):
+    """Turn coordinate differences d into nearest-image distances, in place."""
+    np.abs(d, out=d)
+    return np.minimum(d, size - d, out=d)
 
-    With hard_core, centers are accepted one at a time only when farther
-    than twice the largest radius from every earlier center (sequential
-    rejection).  Runs out of attempts only for near-jamming requests that
-    slipped past the coverage bound, and then raises PackingError.
+
+def sample_centers(config, rng):
+    """Draw disk centers uniformly in the periodic patch.
+
+    With hard_core, a center is kept only when farther than twice the
+    largest radius from every earlier one (sequential rejection).  Runs
+    out of attempts only for near-jamming requests that slipped past the
+    coverage bound, and then raises PackingError.
     """
     n = config.n_disks
     size = config.patch_size
@@ -173,8 +178,8 @@ def sample_centers(config, rng):
         attempts += 1
         cand = rng.uniform(0.0, size, 2)
         if placed:
-            d2 = np.sum((out[:placed] - cand) ** 2, axis=1)
-            if d2.min() <= d_min2:
+            d = _min_image(out[:placed] - cand, size)
+            if np.sum(d**2, axis=1).min() <= d_min2:
                 continue
         out[placed] = cand
         placed += 1
@@ -182,11 +187,11 @@ def sample_centers(config, rng):
 
 
 def sample_disk_points(centers, config, rng):
-    """Sprinkle points uniformly over each disk's area.
+    """Sprinkle points uniformly over each disk's area, wrapped into the patch.
 
-    Radius scaling r = R sqrt(u) makes the density area-uniform.  Points
-    may land slightly outside the patch when a disk hugs the boundary;
-    they are kept, so every realization has exactly N_c N_p points.
+    Radius scaling r = R sqrt(u) makes the density area-uniform.  A disk
+    that crosses the boundary continues on the opposite side, so every
+    realization has exactly N_c N_p points, all in [0, L).
     """
     n_disks = centers.shape[0]
     n_p = config.points_per_disk
@@ -199,63 +204,52 @@ def sample_disk_points(centers, config, rng):
     phi = rng.uniform(0.0, 2.0 * math.pi, (n_disks, n_p))
     r = radii[:, None] * np.sqrt(u)
     offsets = np.stack([r * np.cos(phi), r * np.sin(phi)], axis=-1)
-    return (centers[:, None, :] + offsets).reshape(-1, 2)
+    points = np.mod((centers[:, None, :] + offsets).reshape(-1, 2), config.patch_size)
+    # A tiny negative coordinate rounds up to exactly L under mod.
+    points[points == config.patch_size] = 0.0
+    return points
 
 
 def pair_count_baseline(n_points, edges, patch_size):
-    """Expected pair counts per bin for a uniform process on the square.
+    """Expected pair counts per bin for a uniform process on the periodic patch.
 
-    Uses the isotropised set covariance of a square of side L,
-    gamma(t) = L^2 - 4 L t / pi + t^2 / pi (valid for t <= L), whose
-    radial integral gives the probability of a pair landing at distance
-    inside each bin; exact, so no random catalogs are needed.
+    A pair lands at nearest-image distance in [t1, t2] with probability
+    pi (t2^2 - t1^2) / L^2, exactly for t2 <= L/2: no random catalogs needed.
     """
     edges = np.asarray(edges, dtype=float)
-    size = float(patch_size)
-    if edges[0] < 0 or edges[-1] > size / 2 + 1e-12:
+    if edges[0] < 0 or edges[-1] > patch_size / 2 + 1e-12:
         raise ValueError("bins must lie within (0, patch_size/2)")
-
-    def cumulative(t):
-        return 2.0 * math.pi * (
-            size**2 * t**2 / 2.0 - 4.0 * size * t**3 / (3.0 * math.pi)
-            + t**4 / (4.0 * math.pi)
-        )
-
-    prob = (cumulative(edges[1:]) - cumulative(edges[:-1])) / size**4
     n_pairs = n_points * (n_points - 1) / 2.0
-    return n_pairs * prob
+    return n_pairs * math.pi * np.diff(edges**2) / patch_size**2
 
 
 def _binned_estimate(points, edges, patch_size):
-    """Core of the estimator: (DD/RR - 1 with NaN for empty bins, DD)."""
+    """Estimator core on an edges array: (DD/RR - 1 with NaN for empty bins, DD)."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 2 or points.shape[1] != 2:
         raise ValueError("need at least two 2-D points")
-    edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("edges must be increasing with at least one bin")
+    if np.any(points < 0) or np.any(points >= patch_size):
+        raise ValueError(f"points must lie in the periodic patch [0, {patch_size:g})")
 
     rr = pair_count_baseline(points.shape[0], edges, patch_size)
-    tree = cKDTree(points)
+    tree = cKDTree(points, boxsize=patch_size)
     pairs = tree.query_pairs(r=float(edges[-1]), output_type="ndarray")
-    if pairs.size:
-        dist = np.linalg.norm(points[pairs[:, 0]] - points[pairs[:, 1]], axis=1)
-        dd, _ = np.histogram(dist, bins=edges)
-    else:
-        dd = np.zeros(edges.size - 1, dtype=int)
+    d = _min_image(points.take(pairs[:, 0], axis=0) - points.take(pairs[:, 1], axis=0), patch_size)
+    dd, _ = np.histogram(np.sqrt(np.einsum("ij,ij->i", d, d)), bins=edges)
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        xi = np.where(dd > 0, dd / rr - 1.0, np.nan)
+    xi = np.where(dd > 0, dd / rr - 1.0, np.nan)
     return xi, dd
 
 
 def estimate_correlation(points, edges, patch_size):
     """Pair-count correlation estimate DD/RR - 1 on the given bins.
 
-    RR is the analytic uniform baseline, so a uniform point set scatters
-    around zero.  Bins that caught no pairs yield NaN (missing), never a
-    fake zero.  Requires at least two points and bins inside
-    (0, patch_size/2), where the square set covariance holds.
+    Pairs are counted at nearest-image separation against the exact
+    uniform RR, so a uniform point set scatters around zero.  Bins that
+    caught no pairs yield NaN (missing), never a fake zero.  Requires at
+    least two points in [0, patch_size) and bins inside (0, patch_size/2).
     """
     edges = np.asarray(edges, dtype=float)
     xi, _ = _binned_estimate(points, edges, patch_size)

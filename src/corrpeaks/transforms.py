@@ -42,6 +42,7 @@ __all__ = [
 
 MIN_PANEL_NODES = 64
 ORDER_MARGIN = 128
+MAX_ORDER = 32768  # ORDER_MARGIN is fitted up to here; node builds are O(n^2)
 
 # Tabulated input whose grid coincides with the quadrature nodes to this
 # tolerance is used directly, with no interpolation step at all.
@@ -204,8 +205,10 @@ def _band_order(band, length):
     """Power of two >= band * length / 2 + ORDER_MARGIN: the full-range order
     for band = ell_max + 1/2 or max k.  A Legendre round trip has frequency
     up to 2 band and needs a margin that grows like the cube root of the
-    order (38 nodes at 1024, 98 at 16384); 128 suffices up to 32768."""
+    order (38 nodes at 1024, 98 at 16384); 128 suffices up to MAX_ORDER."""
     need = math.ceil(band * length / 2) + ORDER_MARGIN
+    if need > MAX_ORDER:
+        raise ValueError(f"band {band:.6g} needs quadrature order > MAX_ORDER = {MAX_ORDER}")
     return 1 << (need - 1).bit_length()
 
 
@@ -302,7 +305,7 @@ def legendre_coefficients(corr, ell_max=2000, breakpoints=None, n_nodes=None):
         The correlation C(theta), theta in radians on [0, pi].  Models
         supply their own kink locations through ``breakpoints()``.
     ell_max : int
-        Highest multipole returned.
+        Highest multipole returned, at least 1.
     breakpoints : sequence, optional
         Extra quadrature cut points in (0, pi); overrides the model's own.
     n_nodes : int, optional
@@ -321,8 +324,8 @@ def legendre_coefficients(corr, ell_max=2000, breakpoints=None, n_nodes=None):
     memory stays O(nodes) rather than O(nodes * ell_max).
     """
     ell_max = int(ell_max)
-    if ell_max < 0:
-        raise ValueError("ell_max must be nonnegative")
+    if ell_max < 1:
+        raise ValueError("ell_max must be at least 1: a spectrum needs two coefficients")
     if n_nodes is None:
         n_nodes = _band_order(ell_max + 0.5, math.pi)
     theta, _, base = _weighted_samples(corr, breakpoints, n_nodes)
@@ -381,8 +384,8 @@ def small_angle_spectrum(corr, k_grid, breakpoints=None):
     from max(k_grid).
     """
     k_grid = _as_float_array(k_grid, "k_grid")
-    if k_grid.size == 0:
-        raise ValueError("k_grid must not be empty")
+    if k_grid.size < 2:
+        raise ValueError("k_grid must not be empty or a single wavenumber: a spectrum needs two")
     if np.any(np.diff(k_grid) <= 0) or k_grid[0] < 0:
         raise ValueError("k_grid must be nonnegative and strictly increasing")
     theta, f, base = _weighted_samples(corr, breakpoints, _band_order(k_grid[-1], math.pi))

@@ -138,6 +138,11 @@ def test_mc_config_file_with_flag_override(tmp_path):
     assert run("--out-dir", tmp_path / "y", "--config", cfg, "mc", "--n-disks", "35") == 0
     assert "# n_disks = 35" in (tmp_path / "y" / "mc_stats.csv").read_text()
 
+    # a flag range beats the config's single radius
+    assert run("--out-dir", tmp_path / "z", "--config", cfg, "mc",
+               "--radius-min", "0.5", "--radius-max", "1.5") == 0
+    assert "# radius_deg = 0.5..1.5" in (tmp_path / "z" / "mc_stats.csv").read_text()
+
 
 def test_gnuplot_stub(tmp_path):
     assert run("--out-dir", tmp_path, "--gnuplot", "transform", "--model", "c1",
@@ -159,10 +164,22 @@ def test_usage_errors_exit_1(tmp_path):
     assert run("--out-dir", tmp_path, "toy2", "--variant", "uniform", "--n-theta", "0") == 1
     assert run("--out-dir", tmp_path, "transform", "--model", "c2",
                "--mode", "smallangle", "--n-k", "0") == 1
+    # a spectrum needs two coefficients
+    assert run("--out-dir", tmp_path, "transform", "--model", "c2", "--ell-max", "0") == 1
+    assert run("--out-dir", tmp_path, "toy2", "--variant", "uniform", "--ell-max", "0") == 1
+    assert run("--out-dir", tmp_path, "transform", "--model", "c2",
+               "--mode", "smallangle", "--n-k", "1") == 1
     # a radius range needs both ends, from flags or from a config file
     assert run("--out-dir", tmp_path, "mc", "--n-disks", "10", "--radius-min", "0.5") == 1
     (tmp_path / "half.cfg").write_text("n_disks = 10\nradius_min_deg = 0.5\n")
     assert run("--out-dir", tmp_path, "--config", tmp_path / "half.cfg", "mc") == 1
+    # ... and cannot come with a single radius from the same layer
+    assert run("--out-dir", tmp_path, "mc", "--n-disks", "10", "--radius", "1",
+               "--radius-min", "0.5", "--radius-max", "2") == 1
+    (tmp_path / "both.cfg").write_text(
+        "n_disks = 10\nradius_deg = 1\nradius_min_deg = 0.5\nradius_max_deg = 2\n"
+    )
+    assert run("--out-dir", tmp_path, "--config", tmp_path / "both.cfg", "mc") == 1
     # a smoothing window longer than 2 * size - 1 cannot be padded
     write_spectrum(tmp_path / "short.csv", PowerSpectrum(np.arange(16.0), 1.0 + np.arange(16.0) % 3))
     assert run("--out-dir", tmp_path, "analyze", "--input", tmp_path / "short.csv",

@@ -11,8 +11,10 @@ from scipy.stats import kstest
 from corrpeaks import (
     DiskEnsembleConfig,
     PackingError,
+    correlation_toy1,
     estimate_correlation,
     pair_count_baseline,
+    preset_case,
     realization_rng,
     run_ensemble,
     sample_centers,
@@ -20,6 +22,20 @@ from corrpeaks import (
 )
 
 R = math.radians(1.0)
+
+
+def torus_norm(diff, size):
+    """Length of each row of coordinate differences on a torus of side size."""
+    d = np.abs(diff)
+    return np.hypot(*np.minimum(d, size - d).T)
+
+
+def torus_pdist(points, size):
+    """Condensed pairwise nearest-image distances, in pdist's pair order."""
+    dx, dy = (pdist(points[:, [axis]]) for axis in (0, 1))
+    for d in (dx, dy):
+        np.minimum(d, size - d, out=d)
+    return np.hypot(dx, dy, out=dx)
 
 
 def small_config(**kw):
@@ -97,7 +113,7 @@ def test_hard_core_separation_is_exact():
     cfg = small_config(n_disks=60, patch_size=1.0, hard_core=True)
     for index in range(3):
         centers = sample_centers(cfg, realization_rng(cfg.seed, index))
-        assert pdist(centers).min() > 2.0 * R
+        assert torus_pdist(centers, cfg.patch_size).min() > 2.0 * R
 
 
 def test_infeasible_packing_raises_before_sampling():
@@ -113,12 +129,27 @@ def test_disk_points_stay_in_their_disk_and_follow_area_law():
     centers = sample_centers(cfg, rng)
     pts = sample_disk_points(centers, cfg, rng)
     assert pts.shape == (100 * 1000, 2)
+    assert pts.min() >= 0.0 and pts.max() < cfg.patch_size
 
     owner = np.repeat(centers, cfg.points_per_disk, axis=0)
-    dist = np.hypot(*(pts - owner).T)
+    dist = torus_norm(pts - owner, cfg.patch_size)
     assert dist.max() <= R * (1 + 1e-12)
     # area-uniform: (r/R)^2 is uniform on [0, 1]
     assert kstest((dist / R) ** 2, "uniform").statistic < 0.02
+
+
+def test_wrapped_points_never_land_on_the_patch_side():
+    # A point a hair left of x = 0 wraps to L - 1e-17, which rounds to L.
+    class Draws:
+        def random(self, shape):
+            return np.full(shape, 1e-30)
+
+        def uniform(self, lo, hi, shape):
+            return np.full(shape, math.pi)
+
+    cfg = small_config(n_disks=1, points_per_disk=1)
+    pts = sample_disk_points(np.array([[0.0, 0.25]]), cfg, Draws())
+    assert 0.0 <= pts[0, 0] < cfg.patch_size
 
 
 def test_one_point_per_disk():
@@ -134,7 +165,7 @@ def test_variable_radius_draws_span_the_range():
     centers = sample_centers(cfg, rng)
     pts = sample_disk_points(centers, cfg, rng)
     owner = np.repeat(centers, cfg.points_per_disk, axis=0)
-    dist = np.hypot(*(pts - owner).T)
+    dist = torus_norm(pts - owner, cfg.patch_size)
     assert dist.max() <= 2.0 * R * (1 + 1e-12)
     per_disk_max = dist.reshape(400, 4).max(axis=1)
     assert per_disk_max.max() > 1.2 * R  # some large disks in play
@@ -151,15 +182,25 @@ def test_pair_baseline_matches_brute_force_on_uniform_points():
     n, patch = 3000, 0.7
     pts = rng.uniform(0.0, patch, size=(n, 2))
     edges = np.linspace(0.0, 0.3, 13)
-    dd, _ = np.histogram(pdist(pts), bins=edges)
+    dd, _ = np.histogram(torus_pdist(pts, patch), bins=edges)
     rr = pair_count_baseline(n, edges, patch)
     assert rr.shape == (12,)
     npt.assert_allclose(dd / rr, 1.0, atol=0.04)
+    # the estimator counts exactly these nearest-image pairs
+    tab = estimate_correlation(pts, edges, patch)
+    npt.assert_allclose((1.0 + tab.values) * rr, dd, rtol=1e-9)
 
 
 def test_pair_baseline_rejects_bins_beyond_half_patch():
     with pytest.raises(ValueError):
         pair_count_baseline(100, np.linspace(0.0, 0.6, 5), 1.0)
+
+
+@pytest.mark.parametrize("stray", [-1e-3, 1.0])
+def test_estimator_rejects_points_outside_the_patch(stray):
+    pts = np.array([[0.1, 0.1], [0.2, 0.2], [stray, 0.5]])
+    with pytest.raises(ValueError, match="periodic patch"):
+        estimate_correlation(pts, np.linspace(0.0, 0.2, 5), 1.0)
 
 
 def test_uniform_field_estimates_to_zero():
@@ -177,6 +218,27 @@ def test_empty_bins_are_missing_not_zero():
     tab = estimate_correlation(pts, edges, 1.0)
     assert np.isnan(tab.values[0])  # nothing that close
     assert np.isfinite(tab.values[1])
+
+
+def test_case_b_criterion_6_holds_across_seeds():
+    # The acceptance criterion-6 statistic for hard-core disks (case b) on
+    # seeds where a bounded patch, losing pairs at its edges that the
+    # infinite-plane curve keeps, put only 74-87% of bins in band.
+    n_eff = 80.0 * 4.0 * math.pi
+    fractions = {}
+    analytic = None
+    for seed in (4, 5, 7, 32):
+        cfg = DiskEnsembleConfig(n_disks=80, radius=R, points_per_disk=32, patch_size=1.0,
+                                 hard_core=True, n_realizations=50, seed=seed, n_bins=64)
+        stats = run_ensemble(cfg)
+        window = (stats.theta >= math.radians(0.1)) & (stats.theta <= math.radians(3.0))
+        if analytic is None:
+            analytic = correlation_toy1(stats.theta[window], *preset_case("b"), n_eff).values
+        one_plus = 1.0 + stats.mean[window]
+        alpha = analytic[0] / one_plus[0]
+        inside = np.abs(analytic - alpha * one_plus) <= alpha * stats.rms[window]
+        fractions[seed] = float(np.mean(inside))
+    assert min(fractions.values()) >= 0.90, fractions
 
 
 def test_doubling_points_leaves_the_estimate_consistent():

@@ -30,7 +30,7 @@ from corrpeaks import (
     spherical_box_ft,
     triangle_profile,
 )
-from corrpeaks import transforms
+from corrpeaks import cli, transforms
 from corrpeaks.corr_models import default_model
 from corrpeaks.transforms import panel_nodes
 
@@ -249,6 +249,43 @@ def test_empty_and_nonpositive_sizes_are_rejected():
             panel_nodes((), n_nodes)
         with pytest.raises(ValueError, match="n_nodes"):
             legendre_coefficients(default_model("c1"), ell_max=4, n_nodes=n_nodes)
+
+
+def test_spectra_too_short_to_exist_are_rejected_before_any_work():
+    calls = []
+
+    def corr(theta):
+        calls.append(theta.size)
+        return np.ones_like(theta)
+
+    with pytest.raises(ValueError, match="ell_max must be at least 1"):
+        legendre_coefficients(corr, ell_max=0)
+    with pytest.raises(ValueError, match="single wavenumber"):
+        small_angle_spectrum(corr, [5.0])
+    assert calls == []
+
+
+def test_derived_order_is_capped(monkeypatch, tmp_path):
+    # Building nodes above the cap would take hours: fail instead of hanging.
+    original = transforms.roots_legendre
+
+    def guarded(n):
+        if n > 32768:
+            raise AssertionError(f"order {n} requested")
+        return original(n)
+
+    monkeypatch.setattr(transforms, "roots_legendre", guarded)
+    assert transforms._band_order(20779.0, math.pi) == transforms.MAX_ORDER == 32768
+    with pytest.raises(ValueError, match="MAX_ORDER"):
+        transforms._band_order(20780.0, math.pi)
+    with pytest.raises(ValueError, match="MAX_ORDER"):
+        legendre_coefficients(default_model("c2"), ell_max=30000)
+    with pytest.raises(ValueError, match="MAX_ORDER"):
+        small_angle_spectrum(default_model("c2"), [1.0, 1e6])
+    with pytest.raises(ValueError, match="MAX_ORDER"):
+        ft_1d(box_profile(1.0), [1e6])
+    assert cli.main(["--out-dir", str(tmp_path), "transform", "--model", "c2",
+                     "--mode", "smallangle", "--k-max", "1e6"]) == 1
 
 
 def test_resum_rejects_non_multipole_grids():
