@@ -115,7 +115,8 @@ def find_peaks(spec, smoothing_window=SMOOTHING_WINDOW, prominence_frac=PROMINEN
         Moving-average width applied before extremum search, at most
         2 * size - 1; reflective padding keeps the ends unbiased.
     prominence_frac : float
-        Minimum prominence as a fraction of the smoothed dynamic range.
+        Minimum prominence as a fraction of the smoothed dynamic range,
+        in [0, 1].
 
     Returns
     -------
@@ -128,6 +129,8 @@ def find_peaks(spec, smoothing_window=SMOOTHING_WINDOW, prominence_frac=PROMINEN
         raise TypeError("expected a PowerSpectrum")
     if spec.grid.size < 16:
         raise ValueError("spectrum too short for peak analysis (< 16 points)")
+    if not 0.0 <= prominence_frac <= 1.0:
+        raise ValueError(f"prominence_frac must lie in [0, 1], got {prominence_frac}")
 
     work, top = _log_magnitude(spec.values)
     smooth = _moving_average(work, smoothing_window)

@@ -250,8 +250,8 @@ def other_disk_integral(theta, profile, centers, n_disks):
     (|theta - b| and theta + b).  Vectorised over ``theta``; one angle at
     a time, which bounds memory.
     """
-    if n_disks <= 0:
-        raise ValueError("n_disks must be positive")
+    if not 0 < n_disks < math.inf:
+        raise ValueError(f"n_disks must be finite and positive, got {n_disks}")
     theta = _check_angles(theta)
     reach = 2.0 * profile.radius
     levels = (profile.radius, *profile.breakpoints)
@@ -291,8 +291,8 @@ def correlation_toy1(theta_grid, profile, omega, n_disks=DEFAULT_N_DISKS):
     theta_grid = np.atleast_1d(np.asarray(theta_grid, dtype=float))
     if np.any(theta_grid <= 0) or np.any(np.diff(theta_grid) <= 0):
         raise ValueError("theta grid must be positive and strictly increasing")
-    if n_disks <= 0:
-        raise ValueError("n_disks must be positive")
+    if not 0 < n_disks < math.inf:
+        raise ValueError(f"n_disks must be finite and positive, got {n_disks}")
 
     values = n_disks / (4.0 * math.pi) * same_disk_integral(theta_grid, profile)
     if omega is not None:

@@ -16,12 +16,13 @@ whose weighted sample is exactly zero are dropped before the ell or k loop.
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import j0, j1, roots_legendre
+from scipy.special import j0, j1
 
 __all__ = [
     "TabulatedCorrelation",
@@ -42,7 +43,13 @@ __all__ = [
 
 MIN_PANEL_NODES = 64
 ORDER_MARGIN = 128
-MAX_ORDER = 32768  # ORDER_MARGIN is fitted up to here; node builds are O(n^2)
+MAX_ORDER = 32768  # the largest order ORDER_MARGIN was fitted for
+
+# Newton's method for the Gauss nodes stops once no step moves a node
+# x = cos(theta) by more than a few ulp.  From Tricomi's start that takes
+# at most 4 steps (orders 1-300 and powers of two up to MAX_ORDER).
+NEWTON_TOL = 4.0 * np.finfo(float).eps
+NEWTON_MAX_STEPS = 10
 
 # Tabulated input whose grid coincides with the quadrature nodes to this
 # tolerance is used directly, with no interpolation step at all.
@@ -193,12 +200,62 @@ def gauss_nodes(n):
     try:
         return _NODE_CACHE[n]
     except KeyError:
-        x, w = roots_legendre(n)
+        x, w = _newton_gauss_rule(n)
         _NODE_CACHE[n] = (x, w)
         return x, w
 
 
 _NODE_CACHE = {}
+
+
+def _newton_gauss_rule(n):
+    """Ascending Gauss-Legendre nodes and weights of order n >= 1.
+
+    Newton's method in theta, x = cos(theta), on the roots with theta <= pi/2
+    (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013) A652); the rest follow
+    by symmetry.  Each step needs P_{n-1} and P_n, so its cost is one
+    recurrence over the nodes not yet converged.  The derivative is taken
+    in its sin(theta) form,
+
+        dP_n/dtheta = n (cos(theta) P_n - P_{n-1}) / sin(theta),
+
+    and the weights are 2 / (dP_n/dtheta)^2, which has none of the
+    1 - x^2 cancellation of the x form near the ends.
+    """
+    n = int(n)
+    if n < 1:
+        raise ValueError("Gauss-Legendre order must be at least 1")
+    half = (n + 1) // 2
+    phi = math.pi * (4.0 * np.arange(1, half + 1) - 1.0) / (4.0 * n + 2.0)
+    # Tricomi's expansion of the nodes: error O(n^-5) away from the ends.
+    scale = 1.0 - (n - 1) / (8.0 * n**3) - (39.0 - 28.0 / np.sin(phi) ** 2) / (384.0 * n**4)
+    theta = np.arccos(scale * np.cos(phi))
+    slope = np.empty_like(theta)
+    todo = np.arange(half)
+    for _ in range(NEWTON_MAX_STEPS):
+        t = theta[todo]
+        x, sin_t = np.cos(t), np.sin(t)
+        p_prev, p = deque(_legendre_rows(x, n), maxlen=2)
+        d = n * (x * p - p_prev) / sin_t
+        step = p / d
+        theta[todo] = t - step
+        slope[todo] = d
+        # Near the ends x cannot resolve theta finer than ulp / sin(theta),
+        # so convergence is judged by the move of x.
+        todo = todo[np.abs(step) * sin_t > NEWTON_TOL]
+        if todo.size == 0:
+            break
+    else:
+        raise RuntimeError(
+            f"Gauss-Legendre order {n}: Newton's method did not converge "
+            f"in {NEWTON_MAX_STEPS} steps"
+        )
+    x = np.cos(theta)
+    w = 2.0 / slope**2
+    odd = n % 2
+    if odd:
+        x[-1] = 0.0
+    return np.concatenate((-x, x[::-1][odd:])), np.concatenate((w, w[::-1][odd:]))
 
 
 def _band_order(band, length):
@@ -281,19 +338,22 @@ def _weighted_samples(corr, breakpoints, n_nodes):
 def _legendre_rows(x, ell_max):
     """Yield P_0(x), ..., P_ell_max(x) from the upward three-term recurrence.
 
-    Buffers are updated in place, nothing is allocated per multipole: use
-    each yielded row before advancing, the next step overwrites it.
+    Two buffers are updated in place, nothing is allocated per multipole:
+    each step overwrites the row before the one just yielded, so only the
+    last two rows stay valid together.  Nothing is computed past ell_max.
     """
     p_prev, p, scratch = np.ones_like(x), x.copy(), np.empty_like(x)
     yield p_prev
-    for ell in range(1, ell_max + 1):
+    if ell_max:
         yield p
+    for ell in range(1, ell_max):
         # (ell+1) P_{ell+1} = (2 ell + 1) x P_ell - ell P_{ell-1}
         np.multiply(x, p, out=scratch)
         scratch *= (2 * ell + 1) / (ell + 1)
         p_prev *= ell / (ell + 1)
         np.subtract(scratch, p_prev, out=p_prev)
         p_prev, p = p, p_prev
+        yield p
 
 
 def legendre_coefficients(corr, ell_max=2000, breakpoints=None, n_nodes=None):

@@ -184,6 +184,13 @@ def test_usage_errors_exit_1(tmp_path):
     write_spectrum(tmp_path / "short.csv", PowerSpectrum(np.arange(16.0), 1.0 + np.arange(16.0) % 3))
     assert run("--out-dir", tmp_path, "analyze", "--input", tmp_path / "short.csv",
                "--smoothing-window", "33") == 1
+    # a prominence fraction outside [0, 1] (or NaN) is not a threshold
+    for frac in ("-1", "nan", "1.5"):
+        assert run("--out-dir", tmp_path, "analyze", "--input", tmp_path / "short.csv",
+                   "--prominence-frac", frac) == 1
+    # NaN passes a "<= 0" test: the disk count must be checked as finite
+    assert run("--out-dir", tmp_path, "toy1", "--case", "a", "--n-disks", "nan") == 1
+    assert not (tmp_path / "toy1_case_a.csv").exists()
 
 
 def test_data_errors_exit_2(tmp_path):

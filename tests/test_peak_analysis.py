@@ -180,3 +180,14 @@ def test_smoothing_window_must_fit_the_spectrum():
     for window in (33, 41):
         with pytest.raises(ValueError, match="exceeds"):
             find_peaks(spec, smoothing_window=window)
+
+
+@pytest.mark.parametrize("frac", [-1.0, 1.5, float("nan"), float("inf")])
+def test_prominence_fraction_must_lie_in_the_unit_interval(frac):
+    spec = airy_squared_spectrum()
+    with pytest.raises(ValueError, match="prominence_frac"):
+        find_peaks(spec, prominence_frac=frac)
+    with pytest.raises(ValueError, match="prominence_frac"):
+        analyze_spectrum(spec, prominence_frac=frac)
+    for edge in (0.0, 1.0):
+        find_peaks(spec, prominence_frac=edge)

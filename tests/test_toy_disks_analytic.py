@@ -25,6 +25,7 @@ from corrpeaks import (
     same_disk_integral,
     top_hat_disk,
 )
+from corrpeaks import toy_disks_analytic
 from corrpeaks.toy_disks_analytic import _ring_profile_integral
 
 R = math.radians(1.0)
@@ -283,6 +284,21 @@ def test_correlation_toy1_input_validation():
         correlation_toy1(np.array([0.2, 0.1]), prof, centers, N_C)  # not increasing
     with pytest.raises(ValueError):
         correlation_toy1(np.array([0.1, 0.2]), prof, centers, -5.0)
+
+
+@pytest.mark.parametrize("n_disks", [math.nan, math.inf, 0.0, -5.0])
+def test_disk_count_must_be_finite_and_positive(n_disks, monkeypatch):
+    # NaN slips past a plain "<= 0" test and used to give an all-NaN table.
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran on an invalid disk count")
+
+    monkeypatch.setattr(toy_disks_analytic, "same_disk_integral", no_quadrature)
+    prof, centers = preset_case("b")
+    theta = np.array([0.1, 0.2])
+    with pytest.raises(ValueError, match="n_disks must be finite and positive"):
+        correlation_toy1(theta, prof, centers, n_disks)
+    with pytest.raises(ValueError, match="n_disks must be finite and positive"):
+        other_disk_integral(theta, prof, centers, n_disks)
 
 
 def test_profile_and_center_factories_validate():

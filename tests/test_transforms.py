@@ -120,6 +120,54 @@ def test_round_trip_at_random_band_limits_and_breakpoints(ell_max, cuts_deg, see
     assert err < 1e-8, f"round trip error {err:.3e}"
 
 
+# ---------------------------------------------------------------------------
+# Gauss-Legendre rules
+
+
+@pytest.mark.parametrize("n", [*range(1, 101), 256, 1024, 4096])
+def test_gauss_nodes_match_scipy_and_are_symmetric(n):
+    x, w = transforms._newton_gauss_rule(n)
+    x_ref, w_ref = roots_legendre(n)
+    assert x.shape == w.shape == (n,)
+    assert np.max(np.abs(x - x_ref)) <= 4.5e-16
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1])
+    assert np.array_equal(w, w[::-1])
+    assert np.all(w > 0)
+
+
+def test_gauss_rules_integrate_polynomials_of_degree_below_2n():
+    # A fixed number of Newton steps leaves order 2 off by 1.9e-12: only a
+    # step loop run to convergence passes at every order.
+    for n in range(1, 41):
+        x, w = transforms._newton_gauss_rule(n)
+        for k in range(2 * n):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(w @ x**k - exact) <= 1e-14, f"n={n}, x^{k}"
+
+
+@pytest.mark.parametrize("n", [1024, 4096, 8192])
+def test_gauss_rules_integrate_cosines_up_to_half_the_order(n):
+    # The end weights decide the high frequencies; scipy's rules miss by
+    # 4.1e-13 at 4096 and 3.2e-13 at 8192 from their 1 - x^2 form.
+    x, w = transforms.gauss_nodes(n)
+    a = np.linspace(1.0, n / 2, 400)
+    got = np.array([w @ np.cos(ai * x) for ai in a])
+    npt.assert_allclose(got, 2.0 * np.sin(a) / a, rtol=0.0, atol=5e-14)
+
+
+def test_gauss_nodes_are_cached_and_reject_empty_rules():
+    assert transforms.gauss_nodes(64)[0] is transforms.gauss_nodes(64)[0]
+    with pytest.raises(ValueError, match="at least 1"):
+        transforms._newton_gauss_rule(0)
+
+
+def test_newton_failure_raises_instead_of_returning_a_bad_rule(monkeypatch):
+    monkeypatch.setattr(transforms, "NEWTON_MAX_STEPS", 1)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        transforms._newton_gauss_rule(2)
+
+
 def _nodes_used(ell_max, monkeypatch):
     """Quadrature order legendre_coefficients picks for one full-range panel
     (counted on placeholder nodes, so no large order is built)."""
@@ -266,15 +314,15 @@ def test_spectra_too_short_to_exist_are_rejected_before_any_work():
 
 
 def test_derived_order_is_capped(monkeypatch, tmp_path):
-    # Building nodes above the cap would take hours: fail instead of hanging.
-    original = transforms.roots_legendre
+    # No rule above the cap may even be started: fail instead of hanging.
+    original = transforms._newton_gauss_rule
 
     def guarded(n):
         if n > 32768:
             raise AssertionError(f"order {n} requested")
         return original(n)
 
-    monkeypatch.setattr(transforms, "roots_legendre", guarded)
+    monkeypatch.setattr(transforms, "_newton_gauss_rule", guarded)
     assert transforms._band_order(20779.0, math.pi) == transforms.MAX_ORDER == 32768
     with pytest.raises(ValueError, match="MAX_ORDER"):
         transforms._band_order(20780.0, math.pi)
