@@ -39,7 +39,6 @@ from .peak_analysis import (
     find_peaks,
     quasi_period,
     envelope_decay_exponent,
-    oscillation_score,
     analyze_spectrum,
 )
 from .toy_disks_analytic import (
@@ -77,7 +76,7 @@ __all__ = [
     "DoubleExp", "BrokenExp", "Toy2Uniform", "Toy2Distance",
     "default_model", "model_from_params",
     "PeakReport", "InsufficientPeaksError", "find_peaks", "quasi_period",
-    "envelope_decay_exponent", "oscillation_score", "analyze_spectrum",
+    "envelope_decay_exponent", "analyze_spectrum",
     "DiskProfile", "CenterCorrelation", "top_hat_disk", "exponential_disk",
     "poisson_centers", "hard_core_centers", "clustered_centers",
     "same_disk_integral", "other_disk_integral", "correlation_toy1", "preset_case",

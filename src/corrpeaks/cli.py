@@ -340,6 +340,11 @@ def cmd_toy1(args):
 def cmd_toy2(args):
     config = _load_config(args)
     if "model" in config:
+        if config["model"].strip().lower() != f"toy2_{args.variant}":
+            raise ValueError(
+                f"config model {config['model']!r} does not match "
+                f"--variant {args.variant} (expected toy2_{args.variant})"
+            )
         model = model_from_params(config)
     elif args.variant == "uniform":
         model = Toy2Uniform(args.r_min, args.r_max)

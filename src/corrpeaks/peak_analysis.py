@@ -25,7 +25,6 @@ __all__ = [
     "find_peaks",
     "quasi_period",
     "envelope_decay_exponent",
-    "oscillation_score",
     "analyze_spectrum",
 ]
 
@@ -199,7 +198,12 @@ def envelope_decay_exponent(locations, heights, k_min=None):
 
 
 def _verdict(locations):
-    """(detected, score, regularity, failed_threshold) of a peak set."""
+    """(detected, score, regularity, failed_threshold) of a peak set.
+
+    score = n_peaks * regularity, with regularity = 1 - sigma/mean of the
+    spacings floored at zero; detection needs MIN_PEAKS peaks and
+    regularity >= REGULARITY_MIN, i.e. several broadly evenly spaced peaks.
+    """
     n = locations.size
     if n < 2:
         return False, 0.0, float("nan"), "min_peaks"
@@ -212,17 +216,6 @@ def _verdict(locations):
     else:
         failed = None
     return failed is None, float(n * regularity), float(regularity), failed
-
-
-def oscillation_score(spec, smoothing_window=SMOOTHING_WINDOW, prominence_frac=PROMINENCE_FRAC):
-    """Boolean oscillation verdict plus its supporting score.
-
-    score = n_peaks * regularity with regularity = 1 - sigma/mean of the
-    spacings (floored at zero); detected requires >= 3 peaks and
-    regularity >= 0.5, i.e. several peaks with broadly even spacing.
-    """
-    locations, _ = find_peaks(spec, smoothing_window, prominence_frac)
-    return _verdict(locations)[:2]
 
 
 def analyze_spectrum(spec, smoothing_window=SMOOTHING_WINDOW, prominence_frac=PROMINENCE_FRAC):

@@ -7,24 +7,24 @@ field points lies in one disk or in two, which splits the correlation
 into a same-disk and an other-disk term (the one- and two-halo terms of
 halo models, Cooray & Sheth, Phys. Rep. 372, 1, 2002):
 
-    C(theta) = n A(theta)
-               + n^2 Integral_0^2R ds s A(s) Integral_0^2pi dphi
-                     [1 + omega(|theta e - s e(phi)|)]
+    C = n A + n^2 A * (1 + omega),    A = f * f,
 
-in the flat-sky limit (all angles well below a radian).  Here
+in the flat-sky limit (all angles well below a radian), where * is the
+convolution of radial functions,
 
-    A(s) = Integral d^2x f(|x|) f(|x + s e|)
+    (g * h)(theta) = Integral d^2x g(|x|) h(|x + theta e|).
 
-is the overlap of two profiles whose centers sit s apart (the lens area
-for a top hat), and the phi integral is the center pair density averaged
-over the ring of center offsets s around the separation vector.
+A(s) is the overlap of two profiles whose centers sit s apart (the lens
+area for a top hat); the other-disk term weights it with the center pair
+density 1 + omega.
 
-A(s) is an integral over circle radii rho about one center of f(rho)
-times the line integral of f along that circle in the other disk.
+Both convolutions run through one routine: an integral over circle radii
+r about g's center of r g(r) times the integral of h around that circle.
 Parametrising every circle by its central angle keeps all integrands
 bounded, so plain panelised Gauss-Legendre quadrature converges fast.
-Panels are cut wherever a circle starts or stops crossing a disk edge, a
-profile kink or a breakpoint of omega, which is where the integrands kink.
+Panels are cut at g's kinks and wherever a circle starts or stops
+crossing h's edge or kinks (a disk edge, a profile kink, a breakpoint of
+omega), which is where the integrands kink.
 """
 
 import math
@@ -163,51 +163,51 @@ def _crossing_angle(level, d0, d1):
     """Central angle where sqrt(d0^2 + d1^2 + 2 d0 d1 cos(angle)) = level.
 
     The distance is decreasing in the angle, so the region closer than
-    ``level`` is [result, pi].  Degenerate geometry (d0 d1 = 0) has a
-    constant distance; the clip then parks the cut at 0 or pi, leaving
-    one empty interval, which the quadrature ignores.
+    ``level`` is [result, pi]; an infinite level gives 0.  Degenerate
+    geometry (d0 d1 = 0) has a constant distance; the clip then parks the
+    cut at 0 or pi, leaving one empty interval, which the quadrature
+    ignores.
     """
     den = np.maximum(2.0 * d0 * d1, 1e-300)
     return np.arccos(np.clip((level**2 - d0**2 - d1**2) / den, -1.0, 1.0))
 
 
-def _ring_profile_integral(radius, offset, profile):
-    """Line integral of the profile along circles of the given radii.
+def _ring_integral(h, d, r, n):
+    """Integral over psi in [0, 2 pi] of h(|d e + r e(psi)|).
 
-    Each circle (``radius`` an array) is centered ``offset`` (an array of
-    the same shape) from the disk center; the profile is zero outside the
-    disk, so integration starts at the angle where the circle enters it.
-    By symmetry only [0, pi] is integrated and doubled.
+    ``h`` is a radial function ``(fn, kinks, support)``, zero beyond its
+    support; ``d`` and ``r`` are 1-D arrays of the same length.  By symmetry
+    only [0, pi] is integrated and doubled, in panels that start where the
+    circle enters the support and are cut where it crosses a kink.
     """
-    levels = [profile.radius, *profile.breakpoints]
-    cut_cols = [_crossing_angle(lv, offset, radius) for lv in levels]
-    cuts = np.sort(np.stack(cut_cols + [np.full_like(radius, math.pi)], axis=1), axis=1)
-    psi, w = _mapped_gl(cuts, N_PSI)
-    d = np.sqrt(np.maximum(
-        offset[:, None] ** 2 + radius[:, None] ** 2
-        + 2.0 * offset[:, None] * radius[:, None] * np.cos(psi), 0.0))
-    vals = profile.f(np.minimum(d, profile.radius))
-    return 2.0 * radius * np.sum(w * vals, axis=1)
+    fn, kinks, support = h
+    cut_cols = [_crossing_angle(b, d, r) for b in (support, *kinks)]
+    cuts = np.sort(np.stack(cut_cols + [np.full_like(r, math.pi)], axis=1), axis=1)
+    psi, w = _mapped_gl(cuts, n)
+    dist = np.sqrt(np.maximum(
+        d[:, None] ** 2 + r[:, None] ** 2 + 2.0 * d[:, None] * r[:, None] * np.cos(psi), 0.0))
+    return 2.0 * np.sum(w * fn(np.minimum(dist, support)), axis=1)
 
 
-def _center_density_integral(theta, s, centers):
-    """Integral of 1 + omega around the ring of center offsets s (array).
+def _radial_convolution(d, g, h, n_r, n_psi):
+    """Integral d^2x g(|x|) h(|x + d e|) for each separation in ``d`` (1-D).
 
-    The center separation on that ring is |theta e - s e(phi)|; by
-    symmetry only half the ring is integrated and doubled.  Panels are
-    cut where the separation crosses a breakpoint of omega.
+    ``g`` and ``h`` are radial functions ``(fn, kinks, support)``.  Polar
+    coordinates about g's center: radius panels are cut at 0, at g's
+    support and kinks, and at |d - b| and d + b for every level b of h,
+    where the circles start or stop crossing it.
     """
-    cut_cols = [_crossing_angle(b, theta, s) for b in centers.breakpoints]
-    cuts = np.sort(
-        np.stack([np.zeros_like(s)] + cut_cols + [np.full_like(s, math.pi)], axis=1),
-        axis=1,
-    )
-    phi, w = _mapped_gl(cuts, N_PHI)
-    sep = np.sqrt(np.maximum(
-        theta**2 + s[:, None] ** 2 + 2.0 * theta * s[:, None] * np.cos(phi), 0.0))
-    dens = 1.0 + np.asarray(centers.omega(sep), dtype=float)
-    np.maximum(dens, 0.0, out=dens)  # omega >= -1 up to roundoff
-    return 2.0 * np.sum(w * dens, axis=1)
+    g_fn, g_kinks, g_support = g
+    _, h_kinks, h_support = h
+    cut_cols = [np.full_like(d, c) for c in (0.0, g_support, *g_kinks)]
+    for b in (h_support, *h_kinks):
+        cut_cols += [np.abs(d - b), d + b]
+    cuts = np.sort(np.clip(np.stack(cut_cols, axis=1), 0.0, g_support), axis=1)
+    # A column equal in every row is a repeated cut: drop it.
+    r, w = _mapped_gl(np.unique(cuts, axis=1), n_r)
+    offset = np.broadcast_to(d[:, None], r.shape)
+    ring = _ring_integral(h, offset.reshape(-1), r.reshape(-1), n_psi)
+    return np.sum(w * r * g_fn(r) * ring.reshape(r.shape), axis=1)
 
 
 def _check_angles(theta):
@@ -222,50 +222,37 @@ def same_disk_integral(theta, profile):
 
     A(theta) = Integral d^2x f(|x|) f(|x + theta e|): the lens area for a
     top hat, zero from theta = 2R on; the same-disk term of the
-    correlation is n A(theta).  Vectorised over ``theta``.  Radius panels
-    are cut where the circles about one center start or stop crossing
-    the other disk's edge or profile kinks.
+    correlation is n A(theta).  Vectorised over ``theta``.
     """
     theta = _check_angles(theta)
-    s = theta.reshape(-1)
-    cut_cols = [np.zeros_like(s), np.full_like(s, profile.radius)]
-    cut_cols += [np.abs(s - lv) for lv in (profile.radius, *profile.breakpoints)]
-    for b in profile.breakpoints:
-        cut_cols += [s + b, np.full_like(s, b)]
-    cuts = np.sort(np.clip(np.stack(cut_cols, axis=1), 0.0, profile.radius), axis=1)
-    rho, w = _mapped_gl(cuts, N_RHO)
-    offset = np.broadcast_to(s[:, None], rho.shape)
-    ring = _ring_profile_integral(rho.reshape(-1), offset.reshape(-1), profile)
-    out = np.sum(w * profile.f(rho) * ring.reshape(rho.shape), axis=1)
+    disk = (profile.f, profile.breakpoints, profile.radius)
+    out = _radial_convolution(theta.reshape(-1), disk, disk, N_RHO, N_PSI)
     return out.reshape(theta.shape)[()]
 
 
 def other_disk_integral(theta, profile, centers, n_disks):
     """Other-disk term of the correlation at separations theta.
 
-    n^2 Integral_0^2R ds s A(s) Integral_0^2pi dphi [1 + omega], with the
-    center pair density averaged around the ring of center offsets s.
-    Offset panels are cut where A kinks (sums and differences of R and the
-    profile kinks) and where an omega breakpoint b sweeps past the ring
-    (|theta - b| and theta + b).  Vectorised over ``theta``; one angle at
-    a time, which bounds memory.
+    n^2 Integral d^2x A(|x|) [1 + omega(|x + theta e|)]: the overlap
+    convolved with the center pair density.  A kinks at sums and
+    differences of R and the profile kinks.  Vectorised over ``theta``;
+    one angle at a time, which bounds memory.
     """
     if not 0 < n_disks < math.inf:
         raise ValueError(f"n_disks must be finite and positive, got {n_disks}")
     theta = _check_angles(theta)
-    reach = 2.0 * profile.radius
     levels = (profile.radius, *profile.breakpoints)
-    fixed = [0.0, reach] + [c for a in levels for b in levels for c in (a + b, abs(a - b))]
-    out = np.empty(theta.size)
-    for k, t in enumerate(theta.reshape(-1)):
-        cuts = fixed + [c for b in centers.breakpoints for c in (abs(t - b), t + b)]
-        cuts = np.unique(np.clip(cuts, 0.0, reach))
-        s, w = _mapped_gl(cuts[None, :], N_S)
-        s, w = s[0], w[0]
-        density = _center_density_integral(t, s, centers)
-        out[k] = np.sum(w * s * same_disk_integral(s, profile) * density)
+    # Looked up at call time, so a wrapped same_disk_integral sees every call.
+    overlap = (lambda s: same_disk_integral(s, profile),
+               [c for a in levels for b in levels for c in (a + b, abs(a - b))],
+               2.0 * profile.radius)
+    # The clip absorbs roundoff below omega = -1.
+    density = (lambda u: np.maximum(1.0 + np.asarray(centers.omega(u), dtype=float), 0.0),
+               centers.breakpoints, math.inf)
+    out = [_radial_convolution(np.array([t]), overlap, density, N_S, N_PHI)[0]
+           for t in theta.reshape(-1)]
     rate = n_disks / (4.0 * math.pi)
-    return (rate**2 * out).reshape(theta.shape)[()]
+    return (rate**2 * np.array(out)).reshape(theta.shape)[()]
 
 
 def correlation_toy1(theta_grid, profile, omega, n_disks=DEFAULT_N_DISKS):

@@ -168,14 +168,12 @@ class Profile1D:
 
     ``fn`` must accept a vector of nonnegative x and is taken to vanish
     beyond ``x_max``.  ``breakpoints`` lists interior kink locations so
-    quadrature panels can end there; ``smoothness`` records how many
-    derivatives exist at the support edge (0 = jump, 1 = kink, ...).
+    quadrature panels can end there.
     """
 
     fn: callable
     x_max: float
     breakpoints: tuple = ()
-    smoothness: int = 0
     name: str = "profile"
 
     def __post_init__(self):
@@ -516,13 +514,13 @@ def spherical_box_ft(k, radius, dim):
 def box_profile(x_max, height=1.0):
     """Top-hat profile: f = height on [0, x_max], zero outside (edge jump)."""
     h = float(height)
-    return Profile1D(lambda x: np.full_like(x, h), float(x_max), (), 0, "box")
+    return Profile1D(lambda x: np.full_like(x, h), float(x_max), (), "box")
 
 
 def triangle_profile(x_max, height=1.0):
     """Linear ramp f = height (1 - x/x_max); continuous, kinked at the edge."""
     xm, h = float(x_max), float(height)
-    return Profile1D(lambda x: h * (1.0 - x / xm), xm, (), 1, "triangle")
+    return Profile1D(lambda x: h * (1.0 - x / xm), xm, (), "triangle")
 
 
 def quadratic_spline_profile(x_max, height=1.0):
@@ -544,4 +542,4 @@ def quadratic_spline_profile(x_max, height=1.0):
         out[wing] = 0.5 * (1.5 - t[wing]) ** 2
         return h * out / 0.75  # peak normalised to height
 
-    return Profile1D(bump, xm, (xm / 3.0,), 2, "quadratic-spline")
+    return Profile1D(bump, xm, (xm / 3.0,), "quadratic-spline")

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from corrpeaks import PowerSpectrum, cli
+from corrpeaks import PowerSpectrum, cli, default_model
 from corrpeaks.csvio import read_config, read_correlation, read_spectrum, write_spectrum
 
 
@@ -191,6 +191,14 @@ def test_usage_errors_exit_1(tmp_path):
     # NaN passes a "<= 0" test: the disk count must be checked as finite
     assert run("--out-dir", tmp_path, "toy1", "--case", "a", "--n-disks", "nan") == 1
     assert not (tmp_path / "toy1_case_a.csv").exists()
+    # a toy2 config must hold the model kind that --variant names
+    for variant, name in (("uniform", "toy2-distance"), ("distance", "c2"), ("uniform", "c1")):
+        cfg = tmp_path / f"{name}.cfg"
+        params = default_model(name).to_params()
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in params.items()))
+        assert run("--out-dir", tmp_path / "toy2", "--config", cfg,
+                   "toy2", "--variant", variant) == 1
+    assert not list((tmp_path / "toy2").glob("*"))
 
 
 def test_data_errors_exit_2(tmp_path):

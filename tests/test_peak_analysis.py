@@ -12,7 +12,6 @@ from corrpeaks import (
     analyze_spectrum,
     envelope_decay_exponent,
     find_peaks,
-    oscillation_score,
     quasi_period,
 )
 
@@ -45,9 +44,9 @@ def test_airy_pattern_quasi_period_and_envelope():
     assert exponent == pytest.approx(-3.0, abs=0.1)
     assert stderr < 0.05
 
-    detected, score = oscillation_score(spec)
-    assert detected
-    assert score > 3.0
+    report = analyze_spectrum(spec)
+    assert report.detected
+    assert report.score > 3.0
 
 
 def test_analysis_runs_the_peak_finder_once_and_explains_its_verdict(monkeypatch):
@@ -61,7 +60,7 @@ def test_analysis_runs_the_peak_finder_once_and_explains_its_verdict(monkeypatch
     airy = airy_squared_spectrum()
     report = analyze_spectrum(airy)
     assert len(calls) == 1
-    assert (report.detected, report.score) == oscillation_score(airy)
+    assert report.detected
     assert report.failed_threshold is None
     assert report.regularity == pytest.approx(report.score / report.n_peaks)
 
@@ -96,9 +95,9 @@ def test_monotone_spectrum_has_no_peaks():
     locations, heights = find_peaks(spec)
     assert locations.size == 0
     assert heights.size == 0
-    detected, score = oscillation_score(spec)
-    assert not detected
-    assert score == 0.0
+    report = analyze_spectrum(spec)
+    assert not report.detected
+    assert report.score == 0.0
 
 
 def test_constant_spectrum_has_no_peaks():
@@ -128,7 +127,8 @@ def test_scale_equivariance():
     loc_a, _ = find_peaks(spec)
     loc_b, _ = find_peaks(big)
     npt.assert_array_equal(loc_a, loc_b)
-    assert oscillation_score(spec) == oscillation_score(big)
+    a, b = analyze_spectrum(spec), analyze_spectrum(big)
+    assert (a.detected, a.score) == (b.detected, b.score)
 
 
 def test_grid_refinement_stability():

@@ -11,6 +11,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy import integrate
+from scipy.special import j0, j1
 
 from corrpeaks import (
     CenterCorrelation,
@@ -26,7 +27,7 @@ from corrpeaks import (
     top_hat_disk,
 )
 from corrpeaks import toy_disks_analytic
-from corrpeaks.toy_disks_analytic import _ring_profile_integral
+from corrpeaks.toy_disks_analytic import N_PSI, _ring_integral
 
 R = math.radians(1.0)
 N_C = 1000.0
@@ -121,19 +122,25 @@ def test_same_disk_integral_is_the_lens_area_for_a_top_hat():
     npt.assert_array_equal(area[theta > 2 * R], 0.0)
 
 
+def radial(profile):
+    return (profile.f, profile.breakpoints, profile.radius)
+
+
 def test_ring_integral_from_disk_center():
     # from the center, the whole ring of radius theta <= R stays inside:
-    # the top-hat integrand is 1 over 2 pi theta of arc length
+    # the top-hat integrand is 1 over the full 2 pi of central angle
     radii = np.array([0.1 * R, 0.5 * R, 0.999 * R])
-    npt.assert_allclose(_ring_profile_integral(radii, np.zeros(3), top_hat_disk(R)),
-                        2 * math.pi * radii, rtol=1e-12)
-    beyond = _ring_profile_integral(np.array([2.0 * R + 1e-9, 0.0]), np.array([0.5 * R] * 2),
-                                    top_hat_disk(R))
+    disk = radial(top_hat_disk(R))
+    npt.assert_allclose(_ring_integral(disk, np.zeros(3), radii, N_PSI),
+                        2 * math.pi, rtol=1e-12)
+    # circles that never come within R of the center
+    beyond = _ring_integral(disk, np.array([0.5 * R, 3.0 * R]),
+                            np.array([2.0 * R + 1e-9, 0.5 * R]), N_PSI)
     npt.assert_array_equal(beyond, 0.0)
 
 
 def test_ring_integral_against_angular_monte_carlo():
-    # ring(theta; u) = theta * Integral_0^{2 pi} f(|x_u + theta e(psi)|) dpsi
+    # ring(theta; u) = Integral_0^{2 pi} f(|x_u + theta e(psi)|) dpsi
     # restricted to the disk; estimate the angular average by plain MC
     prof = exponential_disk(R)
     rng = np.random.default_rng(12)
@@ -141,9 +148,38 @@ def test_ring_integral_against_angular_monte_carlo():
     for theta, u in ((0.6 * R, 0.5 * R), (1.3 * R, 0.8 * R)):
         d = np.sqrt(u**2 + theta**2 + 2 * u * theta * np.cos(psi))
         inside = d <= R
-        mc = theta * 2 * math.pi * np.mean(prof.f(np.where(inside, d, R)) * inside)
-        exact = _ring_profile_integral(np.array([theta]), np.array([u]), prof)[0]
+        mc = 2 * math.pi * np.mean(prof.f(np.where(inside, d, R)) * inside)
+        exact = _ring_integral(radial(prof), np.array([u]), np.array([theta]), N_PSI)[0]
         assert exact == pytest.approx(mc, rel=7e-3), (theta, u)
+
+
+def lens_area_unequal(s, r1, r2):
+    """Overlap area of circles of radii r1 and r2 whose centers sit s apart."""
+    s = np.asarray(s, dtype=float)
+    out = np.where(s <= abs(r1 - r2), math.pi * min(r1, r2) ** 2, 0.0)
+    m = (s > abs(r1 - r2)) & (s < r1 + r2)
+    t = s[m]
+    out[m] = (
+        r1**2 * np.arccos((t * t + r1**2 - r2**2) / (2 * t * r1))
+        + r2**2 * np.arccos((t * t + r2**2 - r1**2) / (2 * t * r2))
+        - 0.5 * np.sqrt((r1 + r2 - t) * (t + r1 - r2) * (t - r1 + r2) * (t + r1 + r2))
+    )
+    return out
+
+
+def test_profile_with_an_interior_kink():
+    # f = 2 on [0, b] and 1 on (b, R] is the sum of two top hats, so its
+    # overlap is a sum of lens areas and its mass is pi R^2 + pi b^2
+    b = 0.4 * R
+    prof = DiskProfile(lambda r: np.where(r <= b, 2.0, 1.0), R, (b,), "two-step")
+    theta = np.linspace(0.0, 2.2 * R, 67)
+    ref = (lens_area_unequal(theta, R, R) + 2 * lens_area_unequal(theta, R, b)
+           + lens_area_unequal(theta, b, b))
+    area = same_disk_integral(theta, prof)
+    assert np.max(np.abs(area - ref)) <= 1e-6 * np.max(ref)
+    far = np.array([0.3 * R, 1.7 * R, 3.1 * R])
+    npt.assert_allclose(other_disk_integral(far, prof, poisson_centers(), N_C),
+                        RATE**2 * (math.pi * R**2 + math.pi * b**2) ** 2, rtol=1e-6)
 
 
 def test_disk_integrals_reject_negative_angles():
@@ -214,6 +250,27 @@ def test_preset_cases_match_the_plane_integral(case):
     assert np.max(np.abs(tab.values - ref)) <= 1e-6 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("case", ["a", "b"])
+def test_hankel_transform_matches_the_halo_model_spectrum(case):
+    # Fourier side of C = n A + n^2 A * (1 + omega): for k > 0 the flat-sky
+    # spectrum is n f~^2 (1 + n omega~), with f~ = 2 pi R J1(kR)/k for a
+    # top hat and omega~ = -2 pi d J1(kd)/k for a hard core of diameter
+    # d = 2R.  Past 4R the correlation minus its constant n^2 (pi R^2)^2
+    # vanishes in both cases, so the transform ends there; the panels
+    # meet at 2R, where the overlap ends.
+    x, w = np.polynomial.legendre.leggauss(32)
+    theta = np.concatenate([R * (x + 1), R * (x + 3)])
+    weight = np.concatenate([R * w, R * w])
+    baseline = RATE**2 * (math.pi * R**2) ** 2
+    excess = correlation_toy1(theta, *preset_case(case), N_C).values - baseline
+    k = np.linspace(50.0, 1500.0, 30)
+    spectrum = 2 * math.pi * j0(np.outer(k, theta)) @ (weight * theta * excess)
+    profile_ft = 2 * math.pi * R * j1(k * R) / k
+    omega_ft = -4 * math.pi * R * j1(2 * k * R) / k if case == "b" else 0.0
+    ref = RATE * profile_ft**2 * (1 + RATE * omega_ft)
+    assert np.max(np.abs(spectrum - ref)) <= 5e-6 * np.max(np.abs(ref))
+
+
 def test_case_a_baseline_is_flat_beyond_the_disk_diameter():
     prof, centers = preset_case("a")
     theta = np.array([2.2 * R, 3.0 * R, 3.7 * R])
@@ -274,6 +331,25 @@ def test_exponential_profile_case_differs_from_top_hat():
     d = correlation_toy1(theta, prof_d, cent_d, N_C).values
     c = correlation_toy1(theta, *preset_case("c"), N_C).values
     assert np.all(d < c)
+
+
+def test_other_disk_term_goes_through_the_module_overlap(monkeypatch):
+    # tracing wraps same_disk_integral on the module, so the other-disk
+    # term must look it up there rather than hold its own reference
+    plain = toy_disks_analytic.same_disk_integral
+    calls = []
+
+    def counting(s, profile):
+        calls.append(np.size(s))
+        return plain(s, profile)
+
+    monkeypatch.setattr(toy_disks_analytic, "same_disk_integral", counting)
+    theta = np.array([0.5 * R, 2.5 * R])
+    value = other_disk_integral(theta, top_hat_disk(R), hard_core_centers(R), N_C)
+    assert calls
+    monkeypatch.setattr(toy_disks_analytic, "same_disk_integral", plain)
+    npt.assert_array_equal(
+        value, other_disk_integral(theta, top_hat_disk(R), hard_core_centers(R), N_C))
 
 
 def test_correlation_toy1_input_validation():
