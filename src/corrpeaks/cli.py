@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage error (bad flags or parameters),
 """
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .corr_models import Toy2Distance, Toy2Uniform, default_model, model_from_params
+from .corr_models import default_model, model_from_params
 from .csvio import (
     CsvFormatError,
     read_config,
@@ -176,12 +177,13 @@ def build_parser():
         help="variable-radius disk models: correlation, spectrum, peak verdict",
     )
     p.add_argument("--variant", required=True, choices=("uniform", "distance"))
-    p.add_argument("--r-min", type=parse_angle, default=math.radians(1.0))
-    p.add_argument("--r-max", type=parse_angle, default=math.radians(2.0))
-    p.add_argument("--a0", type=float, default=0.02)
-    p.add_argument("--length", type=float, default=1.0)
-    p.add_argument("--distance-min", type=float, default=3.0)
-    p.add_argument("--distance-max", type=float, default=50.0)
+    # Model parameters default to the reference model, then the config file.
+    p.add_argument("--r-min", type=parse_angle)
+    p.add_argument("--r-max", type=parse_angle)
+    p.add_argument("--a0", type=float)
+    p.add_argument("--length", type=float)
+    p.add_argument("--distance-min", type=float)
+    p.add_argument("--distance-max", type=float)
     p.add_argument("--ell-max", type=positive_int, default=2000)
     p.add_argument("--n-theta", type=positive_int, default=512, help="correlation output grid")
     p.set_defaults(func=cmd_toy2)
@@ -337,20 +339,46 @@ def cmd_toy1(args):
     return 0
 
 
-def cmd_toy2(args):
-    config = _load_config(args)
-    if "model" in config:
-        if config["model"].strip().lower() != f"toy2_{args.variant}":
-            raise ValueError(
-                f"config model {config['model']!r} does not match "
-                f"--variant {args.variant} (expected toy2_{args.variant})"
-            )
-        model = model_from_params(config)
-    elif args.variant == "uniform":
-        model = Toy2Uniform(args.r_min, args.r_max)
-    else:
-        model = Toy2Distance(args.a0, args.length, args.distance_min, args.distance_max)
+# toy2 flag -> (model field, config key, config value in the field's units)
+_TOY2_KEYS = {
+    "uniform": {
+        "r_min": ("r_min", "R_min_deg", lambda v: math.radians(float(v))),
+        "r_max": ("r_max", "R_max_deg", lambda v: math.radians(float(v))),
+    },
+    "distance": {
+        "a0": ("a0", "A0", float),
+        "length": ("length", "L", float),
+        "distance_min": ("r_min", "r_min", float),
+        "distance_max": ("r_max", "r_max", float),
+    },
+}
 
+
+def _toy2_model(args):
+    """Layer the toy2 model from its reference model, then config file, then flags."""
+    config = _load_config(args)
+    if "model" in config and config["model"].strip().lower() != f"toy2_{args.variant}":
+        raise ValueError(
+            f"config model {config['model']!r} does not match "
+            f"--variant {args.variant} (expected toy2_{args.variant})"
+        )
+    values = {}
+    for variant, keys in _TOY2_KEYS.items():
+        for flag, (field, key, conv) in keys.items():
+            given = getattr(args, flag)
+            if variant != args.variant:
+                if given is not None:
+                    raise ValueError(f"--{flag.replace('_', '-')} applies to --variant {variant}")
+                continue
+            if key in config:
+                values[field] = conv(config[key])
+            if given is not None:
+                values[field] = given
+    return dataclasses.replace(default_model(f"toy2-{args.variant}"), **values)
+
+
+def cmd_toy2(args):
+    model = _toy2_model(args)
     params = model.to_params()
     upper = min(max(model.breakpoints()) * 1.25, math.pi)
     theta = np.linspace(upper / args.n_theta, upper, args.n_theta)

@@ -16,7 +16,10 @@ convolution of radial functions,
 
 A(s) is the overlap of two profiles whose centers sit s apart (the lens
 area for a top hat); the other-disk term weights it with the center pair
-density 1 + omega.
+density 1 + omega.  A depends on s alone, so the other-disk term
+tabulates it once per call, on Gauss-Legendre panels between its kinks,
+and interpolates the table on every angle's offsets (barycentric
+Lagrange interpolation, Berrut & Trefethen, SIAM Rev. 46, 501, 2004).
 
 Both convolutions run through one routine: an integral over circle radii
 r about g's center of r g(r) times the integral of h around that circle.
@@ -50,12 +53,19 @@ __all__ = [
 
 # Gauss-Legendre orders per panel: along a circle's arc (psi), over circle
 # radii (rho), over center offsets (s) and around the ring of offsets
-# (phi).  With them the equal-radius Poisson case matches its closed form
-# to ~1e-6, far below MC error bars.
+# (phi), and of the overlap table (A).  With them the equal-radius Poisson
+# case matches its closed form to ~1e-6, far below MC error bars.
 N_PSI = 64
 N_RHO = 48
 N_S = 32
 N_PHI = 48
+N_A = 16
+
+# The overlap table's panels shrink by this ratio, this many times, toward
+# each end of every interval between A's kinks, where A is least smooth
+# (a top hat has A ~ (2R - s)^(3/2) at the reach).
+A_GRADING = 0.3
+A_LEVELS = 4
 
 DEFAULT_N_DISKS = 1000
 
@@ -230,22 +240,65 @@ def same_disk_integral(theta, profile):
     return out.reshape(theta.shape)[()]
 
 
+def _tabulated_overlap(profile):
+    """The overlap A as a radial function ``(fn, kinks, support)``, tabulated.
+
+    A kinks at sums and differences of R and the profile kinks.  Between
+    consecutive kinks on [0, 2R] the offsets are split into panels graded
+    toward both ends.  The panels are also cut at R and at the profile
+    kinks themselves: a profile with a cone at its center (the exponential
+    one) leaves A weakly singular there, where a cone meets an edge.  A is
+    evaluated once at each panel's ``N_A`` Gauss-Legendre nodes, one panel
+    per call of the module's ``same_disk_integral``, which bounds memory.
+    ``fn`` interpolates the table within each panel in barycentric form,
+    with the Legendre-point weights (-1)^j sqrt((1 - x_j^2) w_j) (Wang &
+    Xiang, Math. Comp. 81, 861, 2012); a node returns its tabulated value,
+    and offsets from 2R on give zero.
+    """
+    reach = 2.0 * profile.radius
+    levels = (profile.radius, *profile.breakpoints)
+    kinks = [c for a in levels for b in levels for c in (a + b, abs(a - b))]
+    cuts = np.unique(np.clip([0.0, *kinks], 0.0, reach))
+    steps = A_GRADING ** np.arange(1, A_LEVELS + 1)
+    edges = [*cuts, *levels]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        edges += [*(a + 0.5 * (b - a) * steps), *(b - 0.5 * (b - a) * steps)]
+    edges = np.unique(edges)
+    nodes, _ = _mapped_gl(edges[None, :], N_A)
+    nodes = nodes.reshape(-1, N_A)
+    # Looked up at call time, so a wrapped same_disk_integral sees every call.
+    values = np.array([same_disk_integral(s, profile) for s in nodes])
+    x, w = gauss_nodes(N_A)
+    bary = (-1.0) ** np.arange(N_A) * np.sqrt((1.0 - x**2) * w)
+
+    def fn(s):
+        s = np.asarray(s, dtype=float)
+        # Offsets past the reach are zero; clipped, they stay near a panel.
+        flat = np.minimum(s.reshape(-1), reach)
+        panel = np.searchsorted(edges[1:-1], flat, side="right")
+        diff = flat[:, None] - nodes[panel]
+        hit = diff == 0.0
+        terms = bary / np.where(hit, 1.0, diff)
+        smooth = np.sum(terms * values[panel], axis=1) / np.sum(terms, axis=1)
+        exact = np.sum(np.where(hit, values[panel], 0.0), axis=1)
+        out = np.where(hit.any(axis=1), exact, smooth)
+        return np.where(flat < reach, out, 0.0).reshape(s.shape)
+
+    return fn, kinks, reach
+
+
 def other_disk_integral(theta, profile, centers, n_disks):
     """Other-disk term of the correlation at separations theta.
 
     n^2 Integral d^2x A(|x|) [1 + omega(|x + theta e|)]: the overlap
-    convolved with the center pair density.  A kinks at sums and
-    differences of R and the profile kinks.  Vectorised over ``theta``;
+    convolved with the center pair density.  A is tabulated once per call
+    and interpolated on every angle's offsets.  Vectorised over ``theta``;
     one angle at a time, which bounds memory.
     """
     if not 0 < n_disks < math.inf:
         raise ValueError(f"n_disks must be finite and positive, got {n_disks}")
     theta = _check_angles(theta)
-    levels = (profile.radius, *profile.breakpoints)
-    # Looked up at call time, so a wrapped same_disk_integral sees every call.
-    overlap = (lambda s: same_disk_integral(s, profile),
-               [c for a in levels for b in levels for c in (a + b, abs(a - b))],
-               2.0 * profile.radius)
+    overlap = _tabulated_overlap(profile)
     # The clip absorbs roundoff below omega = -1.
     density = (lambda u: np.maximum(1.0 + np.asarray(centers.omega(u), dtype=float), 0.0),
                centers.breakpoints, math.inf)

@@ -144,6 +144,30 @@ def test_mc_config_file_with_flag_override(tmp_path):
     assert "# radius_deg = 0.5..1.5" in (tmp_path / "z" / "mc_stats.csv").read_text()
 
 
+def test_toy2_config_file_with_flag_override(tmp_path):
+    cfg = tmp_path / "u.cfg"
+    cfg.write_text("model = toy2_uniform\nR_min_deg = 1.0\nR_max_deg = 2.0\n")
+    argv = ("toy2", "--variant", "uniform", "--ell-max", "300")
+    assert run("--out-dir", tmp_path / "x", "--config", cfg, *argv) == 0
+    text = (tmp_path / "x" / "toy2_uniform.csv").read_text()
+    assert "# R_min_deg = 1\n" in text and "# R_max_deg = 2\n" in text
+
+    # explicit flags beat the config values
+    assert run("--out-dir", tmp_path / "y", "--config", cfg, *argv,
+               "--r-min", "0.2deg", "--r-max", "0.3deg") == 0
+    text = (tmp_path / "y" / "toy2_uniform.csv").read_text()
+    assert "# R_min_deg = 0.2\n" in text and "# R_max_deg = 0.3\n" in text
+
+    # a config value beats the reference model, a flag beats both
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text("model = toy2_distance\nL = 2\nr_max = 30\n")
+    assert run("--out-dir", tmp_path / "z", "--config", cfg, "toy2", "--variant", "distance",
+               "--ell-max", "300", "--distance-max", "40") == 0
+    text = (tmp_path / "z" / "toy2_distance.csv").read_text()
+    for line in ("A0 = 0.02", "L = 2", "r_min = 3", "r_max = 40"):
+        assert f"# {line}\n" in text
+
+
 def test_gnuplot_stub(tmp_path):
     assert run("--out-dir", tmp_path, "--gnuplot", "transform", "--model", "c1",
                "--ell-max", "50", "--output", "c1.csv") == 0
@@ -198,6 +222,10 @@ def test_usage_errors_exit_1(tmp_path):
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in params.items()))
         assert run("--out-dir", tmp_path / "toy2", "--config", cfg,
                    "toy2", "--variant", variant) == 1
+    # a flag of the other variant is not silently dropped
+    assert run("--out-dir", tmp_path / "toy2", "toy2", "--variant", "uniform", "--a0", "0.5") == 1
+    assert run("--out-dir", tmp_path / "toy2", "toy2", "--variant", "distance",
+               "--r-min", "0.5deg") == 1
     assert not list((tmp_path / "toy2").glob("*"))
 
 

@@ -16,6 +16,8 @@ from scipy.special import j0, j1
 from corrpeaks import (
     CenterCorrelation,
     DiskProfile,
+    PowerSpectrum,
+    analyze_spectrum,
     clustered_centers,
     correlation_toy1,
     exponential_disk,
@@ -27,7 +29,15 @@ from corrpeaks import (
     top_hat_disk,
 )
 from corrpeaks import toy_disks_analytic
-from corrpeaks.toy_disks_analytic import N_PSI, _ring_integral
+from corrpeaks.toy_disks_analytic import (
+    N_A,
+    N_PHI,
+    N_PSI,
+    N_S,
+    _radial_convolution,
+    _ring_integral,
+    _tabulated_overlap,
+)
 
 R = math.radians(1.0)
 N_C = 1000.0
@@ -250,25 +260,46 @@ def test_preset_cases_match_the_plane_integral(case):
     assert np.max(np.abs(tab.values - ref)) <= 1e-6 * np.max(np.abs(ref))
 
 
+def hankel_transform_of_excess(case, k, n_panels):
+    """2 pi Integral theta J0(k theta) [C(theta) - n^2 (pi R^2)^2] dtheta.
+
+    Past 4R the correlation minus its constant vanishes in cases a and b,
+    so the transform ends there.  It runs on ``n_panels`` (even) equal
+    32-node Gauss-Legendre panels, which meet at 2R, where the overlap
+    ends.
+    """
+    x, w = np.polynomial.legendre.leggauss(32)
+    half = 2 * R / n_panels
+    theta = np.concatenate([2 * half * i + half * (x + 1) for i in range(n_panels)])
+    weight = np.tile(half * w, n_panels)
+    baseline = RATE**2 * (math.pi * R**2) ** 2
+    excess = correlation_toy1(theta, *preset_case(case), N_C).values - baseline
+    return 2 * math.pi * j0(np.outer(k, theta)) @ (weight * theta * excess)
+
+
 @pytest.mark.parametrize("case", ["a", "b"])
 def test_hankel_transform_matches_the_halo_model_spectrum(case):
     # Fourier side of C = n A + n^2 A * (1 + omega): for k > 0 the flat-sky
     # spectrum is n f~^2 (1 + n omega~), with f~ = 2 pi R J1(kR)/k for a
     # top hat and omega~ = -2 pi d J1(kd)/k for a hard core of diameter
-    # d = 2R.  Past 4R the correlation minus its constant n^2 (pi R^2)^2
-    # vanishes in both cases, so the transform ends there; the panels
-    # meet at 2R, where the overlap ends.
-    x, w = np.polynomial.legendre.leggauss(32)
-    theta = np.concatenate([R * (x + 1), R * (x + 3)])
-    weight = np.concatenate([R * w, R * w])
-    baseline = RATE**2 * (math.pi * R**2) ** 2
-    excess = correlation_toy1(theta, *preset_case(case), N_C).values - baseline
+    # d = 2R.
     k = np.linspace(50.0, 1500.0, 30)
-    spectrum = 2 * math.pi * j0(np.outer(k, theta)) @ (weight * theta * excess)
+    spectrum = hankel_transform_of_excess(case, k, 2)
     profile_ft = 2 * math.pi * R * j1(k * R) / k
     omega_ft = -4 * math.pi * R * j1(2 * k * R) / k if case == "b" else 0.0
     ref = RATE * profile_ft**2 * (1 + RATE * omega_ft)
     assert np.max(np.abs(spectrum - ref)) <= 5e-6 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("case", ["a", "b"])
+def test_disk_field_spectrum_oscillates_with_period_pi_over_r(case):
+    # the paper's claim on the spectrum side: equal-radius disks give
+    # peaks placed by J1(kR)^2, pi/R apart.  On this grid the halo-model
+    # formula gives 15 peaks and a period of 181.3 against pi/R = 180.
+    k = np.linspace(1.0, 3000.0, 600)
+    report = analyze_spectrum(PowerSpectrum(k, hankel_transform_of_excess(case, k, 4)))
+    assert report.detected, report.failed_threshold
+    assert report.quasi_period == pytest.approx(math.pi / R, rel=0.03)
 
 
 def test_case_a_baseline_is_flat_beyond_the_disk_diameter():
@@ -350,6 +381,58 @@ def test_other_disk_term_goes_through_the_module_overlap(monkeypatch):
     monkeypatch.setattr(toy_disks_analytic, "same_disk_integral", plain)
     npt.assert_array_equal(
         value, other_disk_integral(theta, top_hat_disk(R), hard_core_centers(R), N_C))
+
+
+def test_overlap_table_matches_the_lens_area():
+    # a top hat has A ~ (2R - s)^(3/2) at the reach, the hardest stretch
+    # for the interpolant; the graded panels hold it to the direct route's
+    # own error there too
+    fn, _, reach = _tabulated_overlap(top_hat_disk(R))
+    s = np.concatenate([np.linspace(0.0, reach, 401)[:-1],
+                        reach * (1.0 - np.logspace(-8, -4, 9))])
+    assert np.max(np.abs(fn(s) - lens_area(s, R))) <= 5e-7 * math.pi * R**2
+    npt.assert_array_equal(fn(np.array([reach, 1.5 * reach])), 0.0)
+
+
+@pytest.mark.parametrize("case", ["a", "b", "c", "d"])
+def test_overlap_table_matches_the_untabulated_convolution(case):
+    # the other-disk term with A evaluated afresh on every angle's offsets;
+    # the scale is the correlation's peak, as for every toy1 tolerance
+    prof, centers = preset_case(case)
+    theta = np.linspace(math.radians(0.05), math.radians(4.0), 64)
+    _, kinks, reach = _tabulated_overlap(prof)
+    overlap = (lambda s: same_disk_integral(s, prof), kinks, reach)
+    density = (lambda u: np.maximum(1.0 + centers.omega(u), 0.0), centers.breakpoints, math.inf)
+    direct = RATE**2 * np.array([
+        _radial_convolution(np.array([t]), overlap, density, N_S, N_PHI)[0] for t in theta])
+    tabulated = other_disk_integral(theta, prof, centers, N_C)
+    peak = np.max(RATE * same_disk_integral(theta, prof) + direct)
+    assert np.max(np.abs(tabulated - direct)) <= 1e-7 * peak
+
+
+def test_overlap_is_tabulated_once_per_call(monkeypatch):
+    plain = toy_disks_analytic.same_disk_integral
+    calls = []
+
+    def recording(s, profile):
+        out = plain(s, profile)
+        calls.append((np.copy(s), out))
+        return out
+
+    monkeypatch.setattr(toy_disks_analytic, "same_disk_integral", recording)
+    prof, centers = preset_case("b")
+    counts = []
+    for n in (2, 64):
+        calls.clear()
+        other_disk_integral(np.linspace(0.05 * R, 4.0 * R, n), prof, centers, N_C)
+        counts.append(sum(s.size for s, _ in calls))
+    assert counts[0] == counts[1]
+    # one panel per call, and a table node interpolates to its value exactly
+    calls.clear()
+    fn, _, _ = _tabulated_overlap(prof)
+    assert {s.size for s, _ in calls} == {N_A}
+    nodes = np.concatenate([s for s, _ in calls])
+    npt.assert_array_equal(fn(nodes), np.concatenate([v for _, v in calls]))
 
 
 def test_correlation_toy1_input_validation():
