@@ -16,10 +16,11 @@ convolution of radial functions,
 
 A(s) is the overlap of two profiles whose centers sit s apart (the lens
 area for a top hat); the other-disk term weights it with the center pair
-density 1 + omega.  A depends on s alone, so the other-disk term
-tabulates it once per call, on Gauss-Legendre panels between its kinks,
-and interpolates the table on every angle's offsets (barycentric
-Lagrange interpolation, Berrut & Trefethen, SIAM Rev. 46, 501, 2004).
+density 1 + omega.  A profile is a unit-radius shape g stretched to
+radius R, f(r) = g(r/R), so A_R(s) = R^2 A_1(s/R).  A_1 is tabulated
+once per shape per process, on Gauss-Legendre panels between its kinks,
+and both terms read A from that table at s/R (barycentric Lagrange
+interpolation, Berrut & Trefethen, SIAM Rev. 46, 501, 2004).
 
 Both convolutions run through one routine: an integral over circle radii
 r about g's center of r g(r) times the integral of h around that circle.
@@ -72,14 +73,17 @@ DEFAULT_N_DISKS = 1000
 
 @dataclass(frozen=True)
 class DiskProfile:
-    """Radial brightness profile of one disk.
+    """Radial brightness profile of one disk, given by its unit-radius shape.
 
-    ``f`` maps radius (radians, array-valued) to brightness on [0, radius]
-    and is treated as zero outside.  ``breakpoints`` lists interior radii
-    where f itself kinks, for quadrature splitting.
+    ``shape`` maps u = r/R on [0, 1] (array-valued) to brightness and is
+    treated as zero outside.  ``breakpoints`` lists the fractions of R in
+    (0, 1) where the shape itself kinks, for quadrature splitting.  All
+    profiles of one shape share one overlap table, so a shape that stands
+    for a family should compare equal by value (as ``exponential_disk``'s
+    does); every other callable gets a table of its own.
     """
 
-    f: callable
+    shape: callable
     radius: float
     breakpoints: tuple = ()
     name: str = "disk"
@@ -87,12 +91,22 @@ class DiskProfile:
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError("radius must be positive")
-        bad = [b for b in self.breakpoints if not 0 < b < self.radius]
+        object.__setattr__(self, "breakpoints", tuple(float(b) for b in self.breakpoints))
+        bad = [b for b in self.breakpoints if not 0 < b < 1]
         if bad:
-            raise ValueError(f"profile breakpoints must lie inside (0, R): {bad}")
-        probe = self.f(np.linspace(0.0, self.radius, 17))
+            raise ValueError(f"profile breakpoints must lie inside (0, 1) of R: {bad}")
+        probe = self.shape(np.linspace(0.0, 1.0, 17))
         if not np.all(np.isfinite(probe)) or np.any(probe < 0):
             raise ValueError("profile must be finite and nonnegative on [0, R]")
+
+    def f(self, r):
+        """Brightness at radii ``r`` in radians: shape(r / R)."""
+        return self.shape(np.asarray(r, dtype=float) / self.radius)
+
+    @property
+    def kinks(self):
+        """The breakpoints in radians."""
+        return tuple(b * self.radius for b in self.breakpoints)
 
 
 @dataclass(frozen=True)
@@ -116,9 +130,23 @@ class CenterCorrelation:
             raise ValueError("omega must be finite and >= -1")
 
 
+def _top_hat_shape(u):
+    return np.ones_like(u)
+
+
+@dataclass(frozen=True)
+class _ExponentialShape:
+    """exp(-ratio u) on u = r/R: equal R/scale ratios give equal shapes."""
+
+    ratio: float
+
+    def __call__(self, u):
+        return np.exp(-self.ratio * u)
+
+
 def top_hat_disk(radius):
     """Uniform disk: f = 1 inside."""
-    return DiskProfile(lambda r: np.ones_like(r), float(radius), (), "top-hat")
+    return DiskProfile(_top_hat_shape, float(radius), (), "top-hat")
 
 
 def exponential_disk(radius, scale=None):
@@ -126,7 +154,7 @@ def exponential_disk(radius, scale=None):
     s = float(radius) if scale is None else float(scale)
     if s <= 0:
         raise ValueError("scale must be positive")
-    return DiskProfile(lambda r: np.exp(-r / s), float(radius), (), "exponential")
+    return DiskProfile(_ExponentialShape(float(radius) / s), float(radius), (), "exponential")
 
 
 def poisson_centers():
@@ -222,8 +250,9 @@ def _radial_convolution(d, g, h, n_r, n_psi):
 
 def _check_angles(theta):
     theta = np.asarray(theta, dtype=float)
-    if np.any(theta < 0):
-        raise ValueError("theta must be nonnegative")
+    # Written so that NaN fails too, before any quadrature runs.
+    if not np.all((theta >= 0) & (theta < math.inf)):
+        raise ValueError("theta must be finite and nonnegative")
     return theta
 
 
@@ -232,33 +261,40 @@ def same_disk_integral(theta, profile):
 
     A(theta) = Integral d^2x f(|x|) f(|x + theta e|): the lens area for a
     top hat, zero from theta = 2R on; the same-disk term of the
-    correlation is n A(theta).  Vectorised over ``theta``.
+    correlation is n A(theta).  Vectorised over ``theta``.  This is the
+    direct route, which fills the overlap tables; ``correlation_toy1``
+    reads A from them.
     """
     theta = _check_angles(theta)
-    disk = (profile.f, profile.breakpoints, profile.radius)
+    disk = (profile.f, profile.kinks, profile.radius)
     out = _radial_convolution(theta.reshape(-1), disk, disk, N_RHO, N_PSI)
     return out.reshape(theta.shape)[()]
 
 
-def _tabulated_overlap(profile):
-    """The overlap A as a radial function ``(fn, kinks, support)``, tabulated.
+# Unit-radius overlap tables (kinks, panel edges, nodes, values), keyed on
+# (shape, breakpoints) and built on first use.
+_OVERLAP_CACHE = {}
 
-    A kinks at sums and differences of R and the profile kinks.  Between
-    consecutive kinks on [0, 2R] the offsets are split into panels graded
-    toward both ends.  The panels are also cut at R and at the profile
-    kinks themselves: a profile with a cone at its center (the exponential
-    one) leaves A weakly singular there, where a cone meets an edge.  A is
-    evaluated once at each panel's ``N_A`` Gauss-Legendre nodes, one panel
-    per call of the module's ``same_disk_integral``, which bounds memory.
-    ``fn`` interpolates the table within each panel in barycentric form,
-    with the Legendre-point weights (-1)^j sqrt((1 - x_j^2) w_j) (Wang &
-    Xiang, Math. Comp. 81, 861, 2012); a node returns its tabulated value,
-    and offsets from 2R on give zero.
+
+def _unit_overlap(profile):
+    """The overlap table of ``profile``'s shape at unit radius.
+
+    A kinks at sums and differences of the radius 1 and the profile
+    kinks.  Between consecutive kinks on [0, 2] the offsets are split into
+    panels graded toward both ends.  The panels are also cut at 1 and at
+    the profile kinks themselves: a profile with a cone at its center (the
+    exponential one) leaves A weakly singular there, where a cone meets an
+    edge.  A is evaluated once at each panel's ``N_A`` Gauss-Legendre
+    nodes, one panel per call of the module's ``same_disk_integral``,
+    which bounds memory.
     """
-    reach = 2.0 * profile.radius
-    levels = (profile.radius, *profile.breakpoints)
+    key = (profile.shape, profile.breakpoints)
+    if key in _OVERLAP_CACHE:
+        return _OVERLAP_CACHE[key]
+    unit = DiskProfile(profile.shape, 1.0, profile.breakpoints, profile.name)
+    levels = (1.0, *profile.breakpoints)
     kinks = [c for a in levels for b in levels for c in (a + b, abs(a - b))]
-    cuts = np.unique(np.clip([0.0, *kinks], 0.0, reach))
+    cuts = np.unique(np.clip([0.0, *kinks], 0.0, 2.0))
     steps = A_GRADING ** np.arange(1, A_LEVELS + 1)
     edges = [*cuts, *levels]
     for a, b in zip(cuts[:-1], cuts[1:]):
@@ -267,14 +303,30 @@ def _tabulated_overlap(profile):
     nodes, _ = _mapped_gl(edges[None, :], N_A)
     nodes = nodes.reshape(-1, N_A)
     # Looked up at call time, so a wrapped same_disk_integral sees every call.
-    values = np.array([same_disk_integral(s, profile) for s in nodes])
+    values = np.array([same_disk_integral(s, unit) for s in nodes])
+    table = _OVERLAP_CACHE[key] = (kinks, edges, nodes, values)
+    return table
+
+
+def _tabulated_overlap(profile):
+    """The overlap A as a radial function ``(fn, kinks, support)``, tabulated.
+
+    Profiles of one shape differ only in scale, A_R(s) = R^2 A_1(s/R), so
+    ``fn`` reads the shape's unit-radius table at s/R.  Within each panel
+    it interpolates in barycentric form, with the Legendre-point weights
+    (-1)^j sqrt((1 - x_j^2) w_j) (Wang & Xiang, Math. Comp. 81, 861,
+    2012); a node returns its tabulated value, and offsets from 2R on give
+    zero.
+    """
+    kinks, edges, nodes, values = _unit_overlap(profile)
+    radius = profile.radius
     x, w = gauss_nodes(N_A)
     bary = (-1.0) ** np.arange(N_A) * np.sqrt((1.0 - x**2) * w)
 
     def fn(s):
         s = np.asarray(s, dtype=float)
         # Offsets past the reach are zero; clipped, they stay near a panel.
-        flat = np.minimum(s.reshape(-1), reach)
+        flat = np.minimum(s.reshape(-1) / radius, 2.0)
         panel = np.searchsorted(edges[1:-1], flat, side="right")
         diff = flat[:, None] - nodes[panel]
         hit = diff == 0.0
@@ -282,17 +334,17 @@ def _tabulated_overlap(profile):
         smooth = np.sum(terms * values[panel], axis=1) / np.sum(terms, axis=1)
         exact = np.sum(np.where(hit, values[panel], 0.0), axis=1)
         out = np.where(hit.any(axis=1), exact, smooth)
-        return np.where(flat < reach, out, 0.0).reshape(s.shape)
+        return radius**2 * np.where(flat < 2.0, out, 0.0).reshape(s.shape)
 
-    return fn, kinks, reach
+    return fn, [k * radius for k in kinks], 2.0 * radius
 
 
 def other_disk_integral(theta, profile, centers, n_disks):
     """Other-disk term of the correlation at separations theta.
 
     n^2 Integral d^2x A(|x|) [1 + omega(|x + theta e|)]: the overlap
-    convolved with the center pair density.  A is tabulated once per call
-    and interpolated on every angle's offsets.  Vectorised over ``theta``;
+    convolved with the center pair density.  A is read from the profile
+    shape's table on every angle's offsets.  Vectorised over ``theta``;
     one angle at a time, which bounds memory.
     """
     if not 0 < n_disks < math.inf:
@@ -329,12 +381,14 @@ def correlation_toy1(theta_grid, profile, omega, n_disks=DEFAULT_N_DISKS):
     TabulatedCorrelation on theta_grid.
     """
     theta_grid = np.atleast_1d(np.asarray(theta_grid, dtype=float))
-    if np.any(theta_grid <= 0) or np.any(np.diff(theta_grid) <= 0):
-        raise ValueError("theta grid must be positive and strictly increasing")
+    if (not np.all((theta_grid > 0) & (theta_grid < math.inf))
+            or np.any(np.diff(theta_grid) <= 0)):
+        raise ValueError("theta grid must be finite, positive and strictly increasing")
     if not 0 < n_disks < math.inf:
         raise ValueError(f"n_disks must be finite and positive, got {n_disks}")
 
-    values = n_disks / (4.0 * math.pi) * same_disk_integral(theta_grid, profile)
+    overlap, _, _ = _tabulated_overlap(profile)
+    values = n_disks / (4.0 * math.pi) * overlap(theta_grid)
     if omega is not None:
         values = values + other_disk_integral(theta_grid, profile, omega, n_disks)
     return TabulatedCorrelation(theta_grid, values)

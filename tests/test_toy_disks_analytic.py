@@ -133,7 +133,7 @@ def test_same_disk_integral_is_the_lens_area_for_a_top_hat():
 
 
 def radial(profile):
-    return (profile.f, profile.breakpoints, profile.radius)
+    return (profile.f, profile.kinks, profile.radius)
 
 
 def test_ring_integral_from_disk_center():
@@ -181,15 +181,33 @@ def test_profile_with_an_interior_kink():
     # f = 2 on [0, b] and 1 on (b, R] is the sum of two top hats, so its
     # overlap is a sum of lens areas and its mass is pi R^2 + pi b^2
     b = 0.4 * R
-    prof = DiskProfile(lambda r: np.where(r <= b, 2.0, 1.0), R, (b,), "two-step")
+    prof = DiskProfile(lambda u: np.where(u <= 0.4, 2.0, 1.0), R, (0.4,), "two-step")
     theta = np.linspace(0.0, 2.2 * R, 67)
     ref = (lens_area_unequal(theta, R, R) + 2 * lens_area_unequal(theta, R, b)
            + lens_area_unequal(theta, b, b))
     area = same_disk_integral(theta, prof)
     assert np.max(np.abs(area - ref)) <= 1e-6 * np.max(ref)
+    # the same through the table, as correlation_toy1 reads it
+    tabulated = correlation_toy1(theta[1:], prof, None, N_C).values / RATE
+    assert np.max(np.abs(tabulated - ref[1:])) <= 1e-6 * np.max(ref)
     far = np.array([0.3 * R, 1.7 * R, 3.1 * R])
     npt.assert_allclose(other_disk_integral(far, prof, poisson_centers(), N_C),
                         RATE**2 * (math.pi * R**2 + math.pi * b**2) ** 2, rtol=1e-6)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_disk_integrals_reject_non_finite_angles(bad, monkeypatch):
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran on a non-finite angle")
+
+    monkeypatch.setattr(toy_disks_analytic, "_radial_convolution", no_quadrature)
+    theta = np.array([0.5 * R, bad])
+    with pytest.raises(ValueError, match="finite"):
+        same_disk_integral(theta, top_hat_disk(R))
+    with pytest.raises(ValueError, match="finite"):
+        other_disk_integral(theta, top_hat_disk(R), poisson_centers(), N_C)
+    with pytest.raises(ValueError, match="finite"):
+        correlation_toy1(np.array([0.1 * R, 0.5 * R, bad]), *preset_case("b"), N_C)
 
 
 def test_disk_integrals_reject_negative_angles():
@@ -233,8 +251,7 @@ def test_cross_term_positive_for_poisson():
     mass = {"a": math.pi * R**2, "d": 2 * math.pi * R**2 * (1 - 2 / math.e)}
     for case, integral in mass.items():
         prof, _ = preset_case(case)
-        tab = correlation_toy1(theta, prof, poisson_centers(), N_C)
-        cross = tab.values - RATE * same_disk_integral(theta, prof)
+        cross = other_disk_integral(theta, prof, poisson_centers(), N_C)
         npt.assert_allclose(cross, RATE**2 * integral**2, rtol=1e-6)
 
 
@@ -365,8 +382,9 @@ def test_exponential_profile_case_differs_from_top_hat():
 
 
 def test_other_disk_term_goes_through_the_module_overlap(monkeypatch):
-    # tracing wraps same_disk_integral on the module, so the other-disk
-    # term must look it up there rather than hold its own reference
+    # tracing wraps same_disk_integral on the module, so the table fill
+    # must look it up there rather than hold its own reference
+    monkeypatch.setattr(toy_disks_analytic, "_OVERLAP_CACHE", {})
     plain = toy_disks_analytic.same_disk_integral
     calls = []
 
@@ -386,12 +404,46 @@ def test_other_disk_term_goes_through_the_module_overlap(monkeypatch):
 def test_overlap_table_matches_the_lens_area():
     # a top hat has A ~ (2R - s)^(3/2) at the reach, the hardest stretch
     # for the interpolant; the graded panels hold it to the direct route's
-    # own error there too
-    fn, _, reach = _tabulated_overlap(top_hat_disk(R))
-    s = np.concatenate([np.linspace(0.0, reach, 401)[:-1],
-                        reach * (1.0 - np.logspace(-8, -4, 9))])
-    assert np.max(np.abs(fn(s) - lens_area(s, R))) <= 5e-7 * math.pi * R**2
-    npt.assert_array_equal(fn(np.array([reach, 1.5 * reach])), 0.0)
+    # own error there too, at every radius the one unit table serves
+    for radius in np.radians([0.1, 1.0, 5.0]):
+        fn, _, reach = _tabulated_overlap(top_hat_disk(radius))
+        s = np.concatenate([np.linspace(0.0, reach, 401)[:-1],
+                            reach * (1.0 - np.logspace(-8, -4, 9))])
+        err = np.max(np.abs(fn(s) - lens_area(s, radius)))
+        assert err <= 5e-7 * math.pi * radius**2, radius
+        npt.assert_array_equal(fn(np.array([reach, 1.5 * reach])), 0.0)
+
+
+def test_profiles_of_one_shape_share_a_table(monkeypatch):
+    cache = {}
+    monkeypatch.setattr(toy_disks_analytic, "_OVERLAP_CACHE", cache)
+    _tabulated_overlap(exponential_disk(R))
+    _tabulated_overlap(exponential_disk(3.0 * R, 3.0 * R))
+    assert len(cache) == 1
+    _tabulated_overlap(exponential_disk(R, 0.5 * R))
+    assert len(cache) == 2
+    # every other callable is a shape of its own
+    _tabulated_overlap(DiskProfile(lambda u: np.exp(-u), R))
+    assert len(cache) == 3
+
+
+@pytest.mark.parametrize("case", ["a", "d"])
+def test_same_disk_term_is_read_from_the_table(case):
+    # correlation_toy1 reads n A off the table; it is no farther from the
+    # exact overlap than the direct route, up to the top-hat table's
+    # interpolation error (2e-9 of A's peak on this grid).  Cases b and c
+    # share a's top hat, so their same-disk term is a's.
+    prof, _ = preset_case(case)
+    theta = np.linspace(math.radians(0.05), math.radians(4.0), 64)
+    if case == "d":
+        exact = np.array([_exp_overlap(t) for t in theta])
+    else:
+        exact = lens_area(theta, R)
+    tabulated = correlation_toy1(theta, prof, None, N_C).values / RATE
+    direct = same_disk_integral(theta, prof)
+    peak = np.max(exact)
+    assert (np.max(np.abs(tabulated - exact))
+            <= np.max(np.abs(direct - exact)) + 1e-9 * peak)
 
 
 @pytest.mark.parametrize("case", ["a", "b", "c", "d"])
@@ -411,28 +463,31 @@ def test_overlap_table_matches_the_untabulated_convolution(case):
 
 
 def test_overlap_is_tabulated_once_per_call(monkeypatch):
+    # once per profile shape in the process, in fact: calls at two radii
+    # and two grid sizes share one unit-radius table
+    monkeypatch.setattr(toy_disks_analytic, "_OVERLAP_CACHE", {})
     plain = toy_disks_analytic.same_disk_integral
     calls = []
 
     def recording(s, profile):
         out = plain(s, profile)
-        calls.append((np.copy(s), out))
+        calls.append((np.copy(s), out, profile.radius))
         return out
 
     monkeypatch.setattr(toy_disks_analytic, "same_disk_integral", recording)
-    prof, centers = preset_case("b")
-    counts = []
-    for n in (2, 64):
-        calls.clear()
-        other_disk_integral(np.linspace(0.05 * R, 4.0 * R, n), prof, centers, N_C)
-        counts.append(sum(s.size for s, _ in calls))
-    assert counts[0] == counts[1]
-    # one panel per call, and a table node interpolates to its value exactly
-    calls.clear()
-    fn, _, _ = _tabulated_overlap(prof)
-    assert {s.size for s, _ in calls} == {N_A}
-    nodes = np.concatenate([s for s, _ in calls])
-    npt.assert_array_equal(fn(nodes), np.concatenate([v for _, v in calls]))
+    _, centers = preset_case("b")
+    for radius in (R, 3.0 * R):
+        for n in (2, 64):
+            theta = np.linspace(0.05 * radius, 4.0 * radius, n)
+            correlation_toy1(theta, top_hat_disk(radius), centers, N_C)
+    # one fill, one panel per call, all at unit radius
+    assert {(s.size, radius) for s, _, radius in calls} == {(N_A, 1.0)}
+    (_, _, table_nodes, _), = toy_disks_analytic._OVERLAP_CACHE.values()
+    assert len(calls) == len(table_nodes)
+    # at unit radius a table node interpolates to its value exactly
+    fn, _, _ = _tabulated_overlap(top_hat_disk(1.0))
+    nodes = np.concatenate([s for s, _, _ in calls])
+    npt.assert_array_equal(fn(nodes), np.concatenate([v for _, v, _ in calls]))
 
 
 def test_correlation_toy1_input_validation():
@@ -465,6 +520,8 @@ def test_profile_and_center_factories_validate():
         top_hat_disk(-1.0)
     with pytest.raises(ValueError):
         DiskProfile(lambda t: -np.ones_like(t), R, (), "negative")
+    with pytest.raises(ValueError):
+        DiskProfile(lambda t: np.ones_like(t), R, (1.5,), "kink past the edge")
     with pytest.raises(ValueError):
         CenterCorrelation(lambda t: np.full_like(t, -2.0), (), "subunitary")
     assert clustered_centers(R).omega(np.array([0.0]))[0] == pytest.approx(1.0)
