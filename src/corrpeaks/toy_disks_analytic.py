@@ -62,6 +62,9 @@ N_S = 32
 N_PHI = 48
 N_A = 16
 
+# Rings integrated together by one call of the ring quadrature.
+RING_BATCH = 1024
+
 # The overlap table's panels shrink by this ratio, this many times, toward
 # each end of every interval between A's kinks, where A is least smooth
 # (a top hat has A ~ (2R - s)^(3/2) at the reach).
@@ -77,10 +80,11 @@ class DiskProfile:
 
     ``shape`` maps u = r/R on [0, 1] (array-valued) to brightness and is
     treated as zero outside.  ``breakpoints`` lists the fractions of R in
-    (0, 1) where the shape itself kinks, for quadrature splitting.  All
-    profiles of one shape share one overlap table, so a shape that stands
-    for a family should compare equal by value (as ``exponential_disk``'s
-    does); every other callable gets a table of its own.
+    [0, 1) where the shape itself kinks, for quadrature splitting; 0 marks
+    a cone at the center, as for ``CenterCorrelation``.  All profiles of
+    one shape share one overlap table, so a shape that stands for a family
+    should compare equal by value (as ``exponential_disk``'s does); every
+    other callable gets a table of its own.
     """
 
     shape: callable
@@ -92,9 +96,9 @@ class DiskProfile:
         if not self.radius > 0:
             raise ValueError("radius must be positive")
         object.__setattr__(self, "breakpoints", tuple(float(b) for b in self.breakpoints))
-        bad = [b for b in self.breakpoints if not 0 < b < 1]
+        bad = [b for b in self.breakpoints if not 0 <= b < 1]
         if bad:
-            raise ValueError(f"profile breakpoints must lie inside (0, 1) of R: {bad}")
+            raise ValueError(f"profile breakpoints must lie in [0, 1) of R: {bad}")
         probe = self.shape(np.linspace(0.0, 1.0, 17))
         if not np.all(np.isfinite(probe)) or np.any(probe < 0):
             raise ValueError("profile must be finite and nonnegative on [0, R]")
@@ -150,11 +154,14 @@ def top_hat_disk(radius):
 
 
 def exponential_disk(radius, scale=None):
-    """Disk with f = exp(-r/scale), scale defaulting to the radius."""
+    """Disk with f = exp(-r/scale), scale defaulting to the radius.
+
+    Its cone at the center is declared as breakpoint 0.
+    """
     s = float(radius) if scale is None else float(scale)
     if s <= 0:
         raise ValueError("scale must be positive")
-    return DiskProfile(_ExponentialShape(float(radius) / s), float(radius), (), "exponential")
+    return DiskProfile(_ExponentialShape(float(radius) / s), float(radius), (0.0,), "exponential")
 
 
 def poisson_centers():
@@ -219,7 +226,8 @@ def _ring_integral(h, d, r, n):
     circle enters the support and are cut where it crosses a kink.
     """
     fn, kinks, support = h
-    cut_cols = [_crossing_angle(b, d, r) for b in (support, *kinks)]
+    # A circle meets a level 0 (a cone) only at psi = pi, already a panel end.
+    cut_cols = [_crossing_angle(b, d, r) for b in (support, *kinks) if b > 0]
     cuts = np.sort(np.stack(cut_cols + [np.full_like(r, math.pi)], axis=1), axis=1)
     psi, w = _mapped_gl(cuts, n)
     dist = np.sqrt(np.maximum(
@@ -243,8 +251,11 @@ def _radial_convolution(d, g, h, n_r, n_psi):
     cuts = np.sort(np.clip(np.stack(cut_cols, axis=1), 0.0, g_support), axis=1)
     # A column equal in every row is a repeated cut: drop it.
     r, w = _mapped_gl(np.unique(cuts, axis=1), n_r)
-    offset = np.broadcast_to(d[:, None], r.shape)
-    ring = _ring_integral(h, offset.reshape(-1), r.reshape(-1), n_psi)
+    offset = np.broadcast_to(d[:, None], r.shape).reshape(-1)
+    flat = r.reshape(-1)
+    # Each ring is integrated on its own; batches bound the (ring, psi) arrays.
+    batches = [slice(i, i + RING_BATCH) for i in range(0, flat.size, RING_BATCH)]
+    ring = np.concatenate([_ring_integral(h, offset[b], flat[b], n_psi) for b in batches])
     return np.sum(w * r * g_fn(r) * ring.reshape(r.shape), axis=1)
 
 
@@ -281,10 +292,10 @@ def _unit_overlap(profile):
 
     A kinks at sums and differences of the radius 1 and the profile
     kinks.  Between consecutive kinks on [0, 2] the offsets are split into
-    panels graded toward both ends.  The panels are also cut at 1 and at
-    the profile kinks themselves: a profile with a cone at its center (the
-    exponential one) leaves A weakly singular there, where a cone meets an
-    edge.  A is evaluated once at each panel's ``N_A`` Gauss-Legendre
+    panels graded toward both ends; a declared cone (kink 0) makes 1 such a
+    kink, since A is weakly singular where a cone meets an edge.  The
+    panels are also cut, ungraded, at 1 and at the profile kinks
+    themselves.  A is evaluated once at each panel's ``N_A`` Gauss-Legendre
     nodes, one panel per call of the module's ``same_disk_integral``,
     which bounds memory.
     """

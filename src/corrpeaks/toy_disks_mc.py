@@ -7,17 +7,35 @@ each disk's area, and estimates the correlation as DD/RR - 1.  With no
 edge to lose pairs at, RR up to L/2 is exactly the annulus area, so the
 estimator needs neither random catalogs nor an edge correction.
 
+Pairs are counted on a cell list ("gridlink", Sinha & Garrison, MNRAS
+491, 3022, 2020).  The points are sorted into a periodic grid of m x m
+cells, m = floor(2 L / theta_max) (less a 1e-9 relative slack, and at
+most sqrt(N)), so a cell's side exceeds theta_max / 2 and every pair
+within theta_max lies at most two cells apart on each axis.  Each point
+visits the half shell of 13 cell offsets: its own cell (later points
+only) and the 12 cells (ox, oy) with ox in 0..2, oy in -2..2 and ox > 0
+or oy > 0; the other half of the 5 x 5 neighbourhood is visited from the
+far side, so every pair is met once.  With m < 5 the shell would wrap
+onto itself, and when all pairs fit in one block a grid does not pay, so
+then the grid is a single cell and the candidates are all pairs i < j.
+The candidates are cut into blocks of at most ``PAIR_BLOCK`` pairs and
+counted in buffers allocated once per thread, so memory is
+O(N + PAIR_BLOCK), not O(pairs).  Each candidate's distance is the
+nearest-image one, per axis, then sqrt(dx^2 + dy^2); candidates beyond
+theta_max (1 + 1e-12) are dropped and the rest binned exactly as
+np.histogram bins them: [e_k, e_k+1), the last bin closed.
+
 Determinism contract: every realization i derives its generator from
 (seed, i), so ensembles are reproducible bit for bit regardless of how
 many worker threads run them.
 """
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .transforms import TabulatedCorrelation
 
@@ -39,6 +57,17 @@ PACKING_LIMIT = 1.1
 
 # Total rejection budget scales with the disk count.
 MAX_ATTEMPTS_PER_DISK = 1_000_000
+
+# Hard-core center candidates drawn and tested together.
+CENTER_BLOCK = 64
+
+# Candidate pairs counted together; the counter's buffers are this long.
+PAIR_BLOCK = 1 << 15
+
+# The half shell of cell offsets each point visits; the first is its own cell.
+_HALF_SHELL = np.array(
+    [(0, 0)] + [(ox, oy) for ox in range(3) for oy in range(-2, 3) if ox > 0 or oy > 0]
+)
 
 
 class PackingError(RuntimeError):
@@ -146,10 +175,19 @@ def realization_rng(seed, index):
     return np.random.default_rng((int(seed), int(index)))
 
 
-def _min_image(d, size):
-    """Turn coordinate differences d into nearest-image distances, in place."""
+def _min_image(d, size, scratch=None):
+    """Turn coordinate differences d into nearest-image distances, in place.
+
+    ``scratch``, an array of d's shape, saves allocating size - d.
+    """
     np.abs(d, out=d)
-    return np.minimum(d, size - d, out=d)
+    return np.minimum(d, np.subtract(size, d, out=scratch), out=d)
+
+
+def _clashes(a, b, size, d_min2):
+    """Whether a[p] and b[q] sit at most sqrt(d_min2) apart, as a (p, q) matrix."""
+    d = _min_image(a[:, None, :] - b[None, :, :], size)
+    return np.sum(d**2, axis=2) <= d_min2
 
 
 def sample_centers(config, rng):
@@ -159,6 +197,12 @@ def sample_centers(config, rng):
     largest radius from every earlier one (sequential rejection).  Runs
     out of attempts only for near-jamming requests that slipped past the
     coverage bound, and then raises PackingError.
+
+    Candidates are drawn ``CENTER_BLOCK`` at a time, which is the same
+    stream as drawing them one by one, and tested against the placed
+    centers at once and against each other through a clash matrix.  A
+    block cut short by the last placement is redrawn up to its last used
+    candidate, so the generator ends where a one-at-a-time loop leaves it.
     """
     n = config.n_disks
     size = config.patch_size
@@ -175,14 +219,28 @@ def sample_centers(config, rng):
             raise PackingError(
                 f"gave up after {attempts} attempts with {placed}/{n} centers placed"
             )
-        attempts += 1
-        cand = rng.uniform(0.0, size, 2)
-        if placed:
-            d = _min_image(out[:placed] - cand, size)
-            if np.sum(d**2, axis=1).min() <= d_min2:
+        k = min(CENTER_BLOCK, budget - attempts)
+        state = rng.bit_generator.state
+        cand = rng.uniform(0.0, size, (k, 2))
+        free = ~_clashes(out[:placed], cand, size, d_min2).any(axis=0)
+        # Bit a of earlier[c] says candidate c clashes with earlier candidate a.
+        earlier = np.tril(_clashes(cand, cand, size, d_min2), -1)
+        earlier = (earlier * (np.uint64(1) << np.arange(k, dtype=np.uint64))).sum(axis=1).tolist()
+        taken = 0
+        used = k
+        for c in np.flatnonzero(free).tolist():
+            if earlier[c] & taken:
                 continue
-        out[placed] = cand
-        placed += 1
+            taken |= 1 << c
+            out[placed] = cand[c]
+            placed += 1
+            if placed == n:
+                used = c + 1
+                break
+        attempts += used
+        if used < k:
+            rng.bit_generator.state = state
+            rng.uniform(0.0, size, (used, 2))
     return out
 
 
@@ -223,22 +281,119 @@ def pair_count_baseline(n_points, edges, patch_size):
     return n_pairs * math.pi * np.diff(edges**2) / patch_size**2
 
 
-def _binned_estimate(points, edges, patch_size):
-    """Estimator core on an edges array: (DD/RR - 1 with NaN for empty bins, DD)."""
+class _PairBlock:
+    """Buffers for counting up to ``size`` candidate pairs at a time, reused."""
+
+    def __init__(self, size):
+        self.step = np.arange(size)
+        self.seg = np.empty(size, dtype=np.intp)
+        self.j = np.empty(size, dtype=np.intp)
+        self.d = np.empty((size, 2))
+        self.tmp = np.empty((size, 2))
+        self.d2 = np.empty(size)
+        self.near = np.empty(size, dtype=bool)
+
+    @classmethod
+    def for_points(cls, n):
+        """Buffers for point sets of n points: one block, or all their pairs if fewer."""
+        return cls(max(1, min(PAIR_BLOCK, n * (n - 1) // 2)))
+
+
+def _candidate_segments(points, size, reach):
+    """The candidate pairs of a cell list, as runs of consecutive partners.
+
+    Returns the points sorted by cell and, for every visit of a point to
+    a nonempty cell offset, one segment: the visiting point, ``shift`` and
+    ``ends``.  The candidates form one stream; segment s holds stream
+    positions [ends[s-1], ends[s]), and position p pairs the segment's
+    point with sorted point p + shift[s].
+    """
+    n = points.shape[0]
+    # The slack keeps the cell side above reach / 2 through rounding; the
+    # grid never has more cells than points.
+    m = min(int(2.0 * size / (reach * (1.0 + 1e-9))), math.isqrt(n))
+    if m < 5 or n * (n - 1) // 2 <= PAIR_BLOCK:
+        m = 1
+    cells = (points * (m / size)).astype(np.intp)
+    np.minimum(cells, m - 1, out=cells)
+    key = cells[:, 0] * m
+    key += cells[:, 1]
+    order = key.argsort(kind="stable")
+    cells = cells.take(order, axis=0)
+    points = points.take(order, axis=0)
+    start = key.take(order).searchsorted(np.arange(m * m + 1))
+
+    offsets = _HALF_SHELL if m > 1 else _HALF_SHELL[:1]
+    # wrap[c + o + 2] is row (or column) c + o of the periodic grid.
+    wrap = np.arange(-2, m + 3) % m
+    cell = wrap.take(cells[:, 0] + (offsets[:, :1] + 2)) * m
+    cell += wrap.take(cells[:, 1] + (offsets[:, 1:] + 2))
+    lo = start.take(cell)
+    lo[0] = np.arange(1, n + 1)  # own cell: later points only
+    cell += 1
+    length = start.take(cell)
+    length -= lo
+    keep = length > 0
+    length = length[keep]
+    ends = length.cumsum()
+    visitor = keep.ravel().nonzero()[0] % n
+    return points, points.take(visitor, axis=0), lo[keep] - (ends - length), ends
+
+
+def _pair_counts(points, edges, size, block):
+    """DD: pairs per bin of ``edges`` at nearest-image distance, counted on a cell list."""
+    points, visitors, shift, ends = _candidate_segments(points, size, edges[-1])
+    dd = np.zeros(edges.size - 1, dtype=np.intp)
+    total = int(ends[-1]) if ends.size else 0
+    limit = edges[-1] ** 2 * (1.0 + 1e-12)
+    for b0 in range(0, total, block.step.size):
+        k = min(block.step.size, total - b0)
+        s0 = int(ends.searchsorted(b0, side="right"))
+        s1 = int(ends.searchsorted(b0 + k, side="left")) + 1
+        seg, j, d, tmp = block.seg[:k], block.j[:k], block.d[:k], block.tmp[:k]
+        d2, near = block.d2[:k], block.near[:k]
+        # Segment of every candidate in the block, counted from s0.
+        seg.fill(0)
+        seg[ends[s0:s1 - 1] - b0] = 1
+        seg.cumsum(out=seg)
+        (shift[s0:s1] + b0).take(seg, out=j, mode="clip")
+        j += block.step[:k]
+        visitors[s0:s1].take(seg, axis=0, out=d, mode="clip")
+        points.take(j, axis=0, out=tmp, mode="clip")
+        d -= tmp
+        _min_image(d, size, tmp)
+        d *= d
+        np.add(d[:, 0], d[:, 1], out=d2)
+        np.less_equal(d2, limit, out=near)
+        dist = block.d2[:np.count_nonzero(near)]
+        d2.compress(near, out=dist)
+        np.sqrt(dist, out=dist)
+        # np.histogram's own binning: sort, then count up to each edge.
+        dist.sort()
+        below = dist.searchsorted(edges, side="left")
+        below[-1] = dist.searchsorted(edges[-1], side="right")
+        dd += below[1:]
+        dd -= below[:-1]
+    return dd
+
+
+def _binned_estimate(points, edges, patch_size, block=None):
+    """Estimator core on an edges array: (DD/RR - 1 with NaN for empty bins, DD).
+
+    ``block`` holds buffers to reuse; without it, the call makes its own.
+    """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 2 or points.shape[1] != 2:
         raise ValueError("need at least two 2-D points")
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
+    if edges.ndim != 1 or edges.size < 2 or (edges[1:] <= edges[:-1]).any():
         raise ValueError("edges must be increasing with at least one bin")
-    if np.any(points < 0) or np.any(points >= patch_size):
+    if (points < 0).any() or (points >= patch_size).any():
         raise ValueError(f"points must lie in the periodic patch [0, {patch_size:g})")
 
     rr = pair_count_baseline(points.shape[0], edges, patch_size)
-    tree = cKDTree(points, boxsize=patch_size)
-    pairs = tree.query_pairs(r=float(edges[-1]), output_type="ndarray")
-    d = _min_image(points.take(pairs[:, 0], axis=0) - points.take(pairs[:, 1], axis=0), patch_size)
-    dd, _ = np.histogram(np.sqrt(np.einsum("ij,ij->i", d, d)), bins=edges)
-
+    if block is None:
+        block = _PairBlock.for_points(points.shape[0])
+    dd = _pair_counts(points, edges, patch_size, block)
     xi = np.where(dd > 0, dd / rr - 1.0, np.nan)
     return xi, dd
 
@@ -257,11 +412,11 @@ def estimate_correlation(points, edges, patch_size):
     return TabulatedCorrelation(centers, xi)
 
 
-def _one_realization(config, index):
+def _one_realization(config, index, edges, block):
     rng = realization_rng(config.seed, index)
     centers = sample_centers(config, rng)
     points = sample_disk_points(centers, config, rng)
-    return _binned_estimate(points, config.bin_edges, config.patch_size)
+    return _binned_estimate(points, edges, config.patch_size, block)
 
 
 def run_ensemble(config, threads=1):
@@ -269,14 +424,23 @@ def run_ensemble(config, threads=1):
 
     Realizations are independent; with threads > 1 they run on a thread
     pool, and because each one seeds its own generator from (seed, index)
-    the result is identical to the serial order.
+    the result is identical to the serial order.  Each thread counts
+    pairs in one set of block buffers for the whole ensemble.
     """
+    edges = config.bin_edges
+    local = threading.local()
+
+    def one(index):
+        if not hasattr(local, "block"):
+            local.block = _PairBlock.for_points(config.n_disks * config.points_per_disk)
+        return _one_realization(config, index, edges, local.block)
+
     indices = range(config.n_realizations)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda i: _one_realization(config, i), indices))
+            results = list(pool.map(one, indices))
     else:
-        results = [_one_realization(config, i) for i in indices]
+        results = [one(i) for i in indices]
 
     xi = np.array([r[0] for r in results])
     dd = np.array([r[1] for r in results])
@@ -293,7 +457,7 @@ def run_ensemble(config, threads=1):
     mean[n_pairs == 0] = np.nan
     rms[n_pairs == 0] = np.nan
     return RealizationStats(
-        theta_edges=config.bin_edges,
+        theta_edges=edges,
         mean=mean,
         rms=rms,
         n_pairs=n_pairs,

@@ -446,6 +446,30 @@ def test_same_disk_term_is_read_from_the_table(case):
             <= np.max(np.abs(direct - exact)) + 1e-9 * peak)
 
 
+def test_ring_batches_leave_the_overlap_unchanged(monkeypatch):
+    # every ring is integrated on its own, so the batch size bounds memory
+    # and nothing else
+    prof, _ = preset_case("d")
+    theta = np.linspace(0.0, 2.2 * R, 33)
+    whole = same_disk_integral(theta, prof)
+    monkeypatch.setattr(toy_disks_analytic, "RING_BATCH", 7)
+    npt.assert_array_equal(same_disk_integral(theta, prof), whole)
+
+
+def test_exponential_overlap_is_cut_at_the_central_cone():
+    # The exponential profile declares its cone at u = 0, so the radius
+    # panels are cut at r = theta, where the circles cross it.  Uncut,
+    # the error jittered up to 5e-7 of A's peak for theta < R.
+    prof, _ = preset_case("d")
+    assert prof.breakpoints == (0.0,)
+    theta = np.linspace(math.radians(0.05), R, 64)
+    exact = np.array([_exp_overlap(t) for t in theta])
+    peak = _exp_overlap(0.0)
+    tabulated = correlation_toy1(theta, prof, None, N_C).values / RATE
+    for route in (same_disk_integral(theta, prof), tabulated):
+        assert np.max(np.abs(route - exact)) <= 3e-7 * peak
+
+
 @pytest.mark.parametrize("case", ["a", "b", "c", "d"])
 def test_overlap_table_matches_the_untabulated_convolution(case):
     # the other-disk term with A evaluated afresh on every angle's offsets;
@@ -522,6 +546,8 @@ def test_profile_and_center_factories_validate():
         DiskProfile(lambda t: -np.ones_like(t), R, (), "negative")
     with pytest.raises(ValueError):
         DiskProfile(lambda t: np.ones_like(t), R, (1.5,), "kink past the edge")
+    with pytest.raises(ValueError):
+        DiskProfile(lambda t: np.ones_like(t), R, (-0.1,), "kink before the center")
     with pytest.raises(ValueError):
         CenterCorrelation(lambda t: np.full_like(t, -2.0), (), "subunitary")
     assert clustered_centers(R).omega(np.array([0.0]))[0] == pytest.approx(1.0)

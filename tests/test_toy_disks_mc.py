@@ -1,13 +1,16 @@
 """Monte Carlo disk fields: determinism, sampling laws, estimator checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
 from scipy.stats import kstest
 
+from corrpeaks import toy_disks_mc
 from corrpeaks import (
     DiskEnsembleConfig,
     PackingError,
@@ -24,10 +27,16 @@ from corrpeaks import (
 R = math.radians(1.0)
 
 
+# Distances are sqrt(dx^2 + dy^2), the estimator's own arithmetic, not
+# hypot: the two can differ in the last bit, which moves a distance that
+# lands on a bin edge into the next bin.
+
+
 def torus_norm(diff, size):
     """Length of each row of coordinate differences on a torus of side size."""
     d = np.abs(diff)
-    return np.hypot(*np.minimum(d, size - d).T)
+    dx, dy = np.minimum(d, size - d).T
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def torus_pdist(points, size):
@@ -35,7 +44,7 @@ def torus_pdist(points, size):
     dx, dy = (pdist(points[:, [axis]]) for axis in (0, 1))
     for d in (dx, dy):
         np.minimum(d, size - d, out=d)
-    return np.hypot(dx, dy, out=dx)
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def small_config(**kw):
@@ -90,6 +99,55 @@ def test_realization_streams_are_distinct():
 
 # ---------------------------------------------------------------------------
 # sampling laws
+
+
+def reference_centers(config, rng):
+    """The one-at-a-time rejection loop that the block sampler reproduces."""
+    n, size = config.n_disks, config.patch_size
+    d_min2 = (2.0 * config.radius_range[1]) ** 2
+    out = np.empty((n, 2))
+    placed = attempts = 0
+    budget = toy_disks_mc.MAX_ATTEMPTS_PER_DISK * n
+    while placed < n:
+        if attempts >= budget:
+            raise PackingError(
+                f"gave up after {attempts} attempts with {placed}/{n} centers placed")
+        attempts += 1
+        cand = rng.uniform(0.0, size, 2)
+        if placed:
+            d = np.abs(out[:placed] - cand)
+            d = np.minimum(d, size - d)
+            if np.sum(d**2, axis=1).min() <= d_min2:
+                continue
+        out[placed] = cand
+        placed += 1
+    return out
+
+
+# 190 disks of radius 0.02 cover N pi (2R)^2 = 0.955 of the unit patch,
+# near PACKING_LIMIT (1.1); most candidates are rejected there.
+NEAR_JAMMING = dict(n_disks=190, radius=0.02)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+@pytest.mark.parametrize("disks", [dict(n_disks=80, radius=R), NEAR_JAMMING])
+def test_block_sampler_matches_the_one_at_a_time_loop(seed, disks):
+    # same centers, and the generator left in the same state, so the
+    # points drawn next are the same too
+    cfg = small_config(patch_size=1.0, hard_core=True, **disks)
+    rng, ref_rng = realization_rng(seed, 0), realization_rng(seed, 0)
+    npt.assert_array_equal(sample_centers(cfg, rng), reference_centers(cfg, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_packing_error_counts_attempts_per_candidate(monkeypatch):
+    monkeypatch.setattr(toy_disks_mc, "MAX_ATTEMPTS_PER_DISK", 1)
+    cfg = small_config(patch_size=1.0, hard_core=True, **NEAR_JAMMING)
+    with pytest.raises(PackingError) as ref:
+        reference_centers(cfg, realization_rng(1, 0))
+    with pytest.raises(PackingError, match="gave up after 190 attempts") as err:
+        sample_centers(cfg, realization_rng(1, 0))
+    assert str(err.value) == str(ref.value)
 
 
 def test_centers_fill_the_square():
@@ -189,6 +247,109 @@ def test_pair_baseline_matches_brute_force_on_uniform_points():
     # the estimator counts exactly these nearest-image pairs
     tab = estimate_correlation(pts, edges, patch)
     npt.assert_allclose((1.0 + tab.values) * rr, dd, rtol=1e-9)
+
+
+def pair_counts(points, edges, size):
+    """DD as the estimator counts it."""
+    return toy_disks_mc._binned_estimate(points, np.asarray(edges, dtype=float), size)[1]
+
+
+def kdtree_counts(points, edges, size):
+    # The tree's reach has a hair of slack, so that a pair its own distance
+    # arithmetic puts just past the last edge is still binned here.
+    pairs = cKDTree(points, boxsize=size).query_pairs(edges[-1] * (1 + 1e-9),
+                                                      output_type="ndarray")
+    dist = torus_norm(points[pairs[:, 0]] - points[pairs[:, 1]], size)
+    return np.histogram(dist, bins=edges)[0]
+
+
+ORACLE_PATCH = 0.7
+
+
+def oracle_points(kind, n, reach, rng):
+    """n points of one kind in the patch [0, ORACLE_PATCH)."""
+    size = ORACLE_PATCH
+    if kind == "uniform":
+        return rng.uniform(0.0, size, (n, 2))
+    if kind == "clustered":
+        n_disks = 1 if n < 20 else 20
+        cfg = small_config(n_disks=n_disks, points_per_disk=n // n_disks,
+                           radius=0.3 * reach, patch_size=size)
+        return sample_disk_points(sample_centers(cfg, rng), cfg, rng)
+    if kind == "hard-core":
+        cfg = small_config(n_disks=n, radius=min(0.25 * reach, 0.01), patch_size=size,
+                           hard_core=True)
+        return sample_centers(cfg, rng)
+    # Coordinates on the cell boundaries of the grids the counter may
+    # pick (sides reach/2 and L/m), at 0 and at the last float below L.
+    m = int(2 * size / reach)
+    coords = np.concatenate([
+        [0.0, np.nextafter(size, 0.0)],
+        np.arange(1, 2 * m) * (0.5 * reach) % size,
+        np.arange(1, m) * (size / m),
+    ])
+    corners = [[0.0, 0.0], [coords[1], coords[1]], [0.0, coords[1]], [coords[1], 0.0]]
+    return np.concatenate([corners, rng.choice(coords, (n, 2))])[:n]
+
+
+@pytest.mark.parametrize("reach", [1e-4 * ORACLE_PATCH, ORACLE_PATCH / 5,
+                                   2 * ORACLE_PATCH / 5, ORACLE_PATCH / 2])
+@pytest.mark.parametrize("kind", ["uniform", "clustered", "hard-core", "lattice"])
+def test_pair_counts_match_brute_force_and_a_kd_tree(kind, reach):
+    # every pair at nearest-image distance in [e_k, e_k+1), the last bin
+    # closed, exactly as np.histogram bins the full pair list
+    rng = np.random.default_rng([7, int(reach * 1e6)])
+    for n in (2, 3, 6, 400):
+        pts = oracle_points(kind, n, reach, rng)
+        assert pts.shape == (n, 2) and pts.min() >= 0.0 and pts.max() < ORACLE_PATCH
+        for n_bins in (1, 7, 64):
+            edges = np.linspace(0.0, reach, n_bins + 1)
+            dd = pair_counts(pts, edges, ORACLE_PATCH)
+            npt.assert_array_equal(
+                dd, np.histogram(torus_pdist(pts, ORACLE_PATCH), bins=edges)[0],
+                err_msg=f"{kind}, n={n}, {n_bins} bins")
+            npt.assert_array_equal(dd, kdtree_counts(pts, edges, ORACLE_PATCH))
+
+
+def test_a_pair_at_the_last_edge_counts_even_if_its_square_rounds_past_it():
+    # sqrt(dx^2 + dy^2) == reach although dx^2 + dy^2 > reach^2 in floats:
+    # the last bin is closed, so the pair is in it
+    reach = 0.14
+    angle = np.linspace(0.1, 1.4, 2001)
+    dx, dy = reach * np.cos(angle), reach * np.sin(angle)
+    d2 = dx * dx + dy * dy
+    on_edge = np.flatnonzero((np.sqrt(d2) == reach) & (d2 > reach * reach))
+    assert on_edge.size > 0
+    pts = np.array([[0.0, 0.0], [dx[on_edge[0]], dy[on_edge[0]]]])
+    npt.assert_array_equal(pair_counts(pts, np.linspace(0.0, reach, 4), 1.0), [0, 0, 1])
+
+
+@pytest.mark.parametrize("reach", [0.05, 0.45])
+def test_pair_counts_hold_when_blocks_cut_every_run_of_partners(monkeypatch, reach):
+    # blocks of 97 candidates, far shorter than the runs of partners in
+    # a one-cell grid (reach 0.45) or a 38 x 38 grid (0.05)
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(0.0, 1.0, (1500, 2))
+    edges = np.linspace(0.0, reach, 9)
+    expected = np.histogram(torus_pdist(pts, 1.0), bins=edges)[0]
+    monkeypatch.setattr(toy_disks_mc, "PAIR_BLOCK", 97)
+    npt.assert_array_equal(pair_counts(pts, edges, 1.0), expected)
+
+
+def test_pair_counter_memory_does_not_grow_with_the_pair_count():
+    # about 10^6 pairs: listed as two int64 indices each, they alone would
+    # take 16 MB
+    cfg = small_config(n_disks=80, points_per_disk=32, patch_size=1.0, theta_max=0.3)
+    rng = realization_rng(2, 0)
+    pts = sample_disk_points(sample_centers(cfg, rng), cfg, rng)
+    tracemalloc.start()
+    try:
+        estimate_correlation(pts, cfg.bin_edges, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pair_counts(pts, cfg.bin_edges, 1.0).sum() > 900_000
+    assert peak < 6e6
 
 
 def test_pair_baseline_rejects_bins_beyond_half_patch():
