@@ -19,11 +19,14 @@ far side, so every pair is met once.  With m < 5 the shell would wrap
 onto itself, and when all pairs fit in one block a grid does not pay, so
 then the grid is a single cell and the candidates are all pairs i < j.
 The candidates are cut into blocks of at most ``PAIR_BLOCK`` pairs and
-counted in buffers allocated once per thread, so memory is
-O(N + PAIR_BLOCK), not O(pairs).  Each candidate's distance is the
-nearest-image one, per axis, then sqrt(dx^2 + dy^2); candidates beyond
-theta_max (1 + 1e-12) are dropped and the rest binned exactly as
-np.histogram bins them: [e_k, e_k+1), the last bin closed.
+counted in buffers allocated once per thread, next to the cell list's
+work arrays of 13 entries per point, so memory is O(N + PAIR_BLOCK), not
+O(pairs); of the arrays of 13 entries per point, a realization
+allocates only the mask and the index of the nonempty visits afresh.
+Each candidate's distance is the nearest-image one, per axis, then
+sqrt(dx^2 + dy^2); candidates beyond theta_max (1 + 1e-12) are dropped
+and the rest binned exactly as np.histogram bins them: [e_k, e_k+1), the
+last bin closed.
 
 Determinism contract: every realization i derives its generator from
 (seed, i), so ensembles are reproducible bit for bit regardless of how
@@ -282,9 +285,11 @@ def pair_count_baseline(n_points, edges, patch_size):
 
 
 class _PairBlock:
-    """Buffers for counting up to ``size`` candidate pairs at a time, reused."""
+    """Buffers reused by every count on sets of n points: the cell list's
+    work arrays, one entry per point and half-shell offset, and those for
+    counting up to ``size`` candidate pairs at a time."""
 
-    def __init__(self, size):
+    def __init__(self, size, n):
         self.step = np.arange(size)
         self.seg = np.empty(size, dtype=np.intp)
         self.j = np.empty(size, dtype=np.intp)
@@ -292,21 +297,25 @@ class _PairBlock:
         self.tmp = np.empty((size, 2))
         self.d2 = np.empty(size)
         self.near = np.empty(size, dtype=bool)
+        shell = _HALF_SHELL.shape[0] * n
+        self.work = np.empty((3, shell), dtype=np.intp)
+        self.visitors = np.empty((shell, 2))
 
     @classmethod
     def for_points(cls, n):
         """Buffers for point sets of n points: one block, or all their pairs if fewer."""
-        return cls(max(1, min(PAIR_BLOCK, n * (n - 1) // 2)))
+        return cls(max(1, min(PAIR_BLOCK, n * (n - 1) // 2)), n)
 
 
-def _candidate_segments(points, size, reach):
+def _candidate_segments(points, size, reach, block):
     """The candidate pairs of a cell list, as runs of consecutive partners.
 
     Returns the points sorted by cell and, for every visit of a point to
     a nonempty cell offset, one segment: the visiting point, ``shift`` and
     ``ends``.  The candidates form one stream; segment s holds stream
     positions [ends[s-1], ends[s]), and position p pairs the segment's
-    point with sorted point p + shift[s].
+    point with sorted point p + shift[s].  The segments are views of the
+    work arrays of ``block``.
     """
     n = points.shape[0]
     # The slack keeps the cell side above reach / 2 through rounding; the
@@ -324,25 +333,36 @@ def _candidate_segments(points, size, reach):
     start = key.take(order).searchsorted(np.arange(m * m + 1))
 
     offsets = _HALF_SHELL if m > 1 else _HALF_SHELL[:1]
+    # Three work arrays of one entry per point and offset, reused in turn.
+    a, b, c = (w[: offsets.shape[0] * n].reshape(-1, n) for w in block.work)
     # wrap[c + o + 2] is row (or column) c + o of the periodic grid.
     wrap = np.arange(-2, m + 3) % m
-    cell = wrap.take(cells[:, 0] + (offsets[:, :1] + 2)) * m
-    cell += wrap.take(cells[:, 1] + (offsets[:, 1:] + 2))
-    lo = start.take(cell)
+    np.add(cells[:, 0], offsets[:, :1] + 2, out=a)
+    cell = wrap.take(a, out=b, mode="clip")
+    cell *= m
+    np.add(cells[:, 1], offsets[:, 1:] + 2, out=a)
+    cell += wrap.take(a, out=c, mode="clip")
+    lo = start.take(cell, out=a, mode="clip")
     lo[0] = np.arange(1, n + 1)  # own cell: later points only
     cell += 1
-    length = start.take(cell)
+    length = start.take(cell, out=c, mode="clip")
     length -= lo
-    keep = length > 0
-    length = length[keep]
-    ends = length.cumsum()
-    visitor = keep.ravel().nonzero()[0] % n
-    return points, points.take(visitor, axis=0), lo[keep] - (ends - length), ends
+    visit = np.flatnonzero(length > 0)
+    a, b, c = a.reshape(-1), b.reshape(-1), c.reshape(-1)
+    count = visit.size
+    length = c.take(visit, out=b[:count], mode="clip")
+    shift = a.take(visit, out=c[:count], mode="clip")
+    ends = np.cumsum(length, out=a[:count])
+    # A segment's partners start at stream position ends - length.
+    shift -= np.subtract(ends, length, out=length)
+    visit %= n
+    visitors = points.take(visit, axis=0, out=block.visitors[:count], mode="clip")
+    return points, visitors, shift, ends
 
 
 def _pair_counts(points, edges, size, block):
     """DD: pairs per bin of ``edges`` at nearest-image distance, counted on a cell list."""
-    points, visitors, shift, ends = _candidate_segments(points, size, edges[-1])
+    points, visitors, shift, ends = _candidate_segments(points, size, edges[-1], block)
     dd = np.zeros(edges.size - 1, dtype=np.intp)
     total = int(ends[-1]) if ends.size else 0
     limit = edges[-1] ** 2 * (1.0 + 1e-12)

@@ -10,8 +10,20 @@ with k = ell + 1/2.  Everything is evaluated on fixed-order Gauss-Legendre
 nodes; integrands with kinks are handled by splitting the quadrature into
 panels at the model breakpoints, never by adaptive subdivision, so repeated
 runs are bit-identical.  The full-range order follows from the band limit
-(:func:`_band_order`) and shorter panels get their length share.  Nodes
-whose weighted sample is exactly zero are dropped before the ell or k loop.
+(:func:`_band_order`) and shorter panels get their length share.
+
+The node set is mirror-symmetric about pi/2: every cut b is also made at
+pi - b and node N-1-i is pi - theta_i.  As P_ell(-x) = (-1)^ell P_ell(x),
+the Legendre transform runs its recurrence on the half with theta <= pi/2
+only, contracting even multipoles with the weighted samples at theta plus
+those at pi - theta and odd ones with the difference (the equatorial
+symmetry of full-sky transform codes; Reinecke & Seljebotn, A&A 554,
+A112, 2013).  A mirror pair whose two weighted samples are exactly zero
+is dropped before the multipole loop, as is a single node before the
+wavenumber loop of the small-angle transform.  The recurrence writes its
+rows into one buffer of ``BLOCK_BYTES``, and each block of multipoles is
+contracted with one matrix product instead of one dot per multipole; the
+resummation contracts its blocks the same way.
 """
 
 import math
@@ -54,6 +66,10 @@ NEWTON_MAX_STEPS = 10
 # Tabulated input whose grid coincides with the quadrature nodes to this
 # tolerance is used directly, with no interpolation step at all.
 NODE_MATCH_ATOL = 1e-12
+
+# Size of the buffer the Legendre recurrence writes its rows into; a block
+# of rows is contracted with one matrix product.
+BLOCK_BYTES = 1 << 19
 
 
 class ExtrapolationError(ValueError):
@@ -233,7 +249,8 @@ def _newton_gauss_rule(n):
     for _ in range(NEWTON_MAX_STEPS):
         t = theta[todo]
         x, sin_t = np.cos(t), np.sin(t)
-        p_prev, p = deque(_legendre_rows(x, n), maxlen=2)
+        _, scale, rows = deque(_legendre_rows(x, n), maxlen=1)[0]
+        p_prev, p = scale[-2:, None] * rows[-2:]
         d = n * (x * p - p_prev) / sin_t
         step = p / d
         theta[todo] = t - step
@@ -268,28 +285,50 @@ def _band_order(band, length):
 
 
 def panel_nodes(breakpoints, n_nodes, lo=0.0, hi=math.pi):
-    """Quadrature nodes and weights on [lo, hi], split at breakpoints.
+    """Quadrature nodes and weights on [lo, hi], split at breakpoints and
+    mirror-symmetric about the midpoint.
 
-    ``n_nodes`` is the Gauss-Legendre order of a full-range panel; a
-    panel of length h gets its share ceil(n_nodes h / (hi - lo)), rounded
-    up to a power of two (so few orders are built and cached) and kept
-    within [MIN_PANEL_NODES, n_nodes].  Every panel so keeps at least the
-    full-range node density, and integrands smooth between cuts are
-    resolved to near machine precision.
+    The panels end at every breakpoint b and at its mirror image
+    lo + hi - b.  ``n_nodes`` is the Gauss-Legendre order of a full-range
+    panel; a panel of length h gets its share ceil(n_nodes h / (hi - lo)),
+    rounded up to a power of two (so few orders are built and cached) and
+    kept within [MIN_PANEL_NODES, n_nodes].  Every panel so keeps at least
+    the full-range node density, and integrands smooth between cuts are
+    resolved to near machine precision.  Only the lower half is built:
+    node N-1-i is exactly lo + hi - theta_i with the weight of node i, and
+    a middle panel of odd order has its centre node at the midpoint, once.
     """
     n_nodes = int(n_nodes)
     if n_nodes < 1:
         raise ValueError("n_nodes must be at least 1")
-    cuts = sorted({lo, hi, *(float(b) for b in breakpoints if lo < b < hi)})
+
+    def order(length):
+        share = math.ceil(n_nodes * length / (hi - lo))
+        return min(n_nodes, max(MIN_PANEL_NODES, 1 << (share - 1).bit_length()))
+
+    span = lo + hi
+    mid = 0.5 * span
+    inside = (float(b) for b in breakpoints if lo < b < hi)
+    cuts = sorted({lo, *(b if b <= mid else span - b for b in inside)})
     thetas = []
     weights = []
     for a, b in zip(cuts[:-1], cuts[1:]):
-        share = math.ceil(n_nodes * (b - a) / (hi - lo))
-        x, w = gauss_nodes(min(n_nodes, max(MIN_PANEL_NODES, 1 << (share - 1).bit_length())))
+        x, w = gauss_nodes(order(b - a))
         half = 0.5 * (b - a)
         thetas.append(0.5 * (a + b) + half * x)
         weights.append(half * w)
-    return np.concatenate(thetas), np.concatenate(weights)
+    odd = 0
+    if cuts[-1] < mid:
+        # The middle panel keeps the full order its whole length asks for.
+        n = order((span - cuts[-1]) - cuts[-1])
+        x, w = gauss_nodes(n)
+        half = mid - cuts[-1]
+        odd = n % 2
+        thetas.append(mid + half * x[: (n + 1) // 2])
+        weights.append(half * w[: (n + 1) // 2])
+    theta, w = np.concatenate(thetas), np.concatenate(weights)
+    return (np.concatenate((theta, span - theta[::-1][odd:])),
+            np.concatenate((w, w[::-1][odd:])))
 
 
 def _model_breakpoints(corr):
@@ -317,41 +356,68 @@ def _sample_correlation(corr, theta):
 
 
 def _weighted_samples(corr, breakpoints, n_nodes):
-    """Nodes, samples C and weighted samples 2 pi w sin(theta) C.
-
-    Nodes whose weighted sample is exactly zero add exactly zero to any
-    transform, so they are dropped.
-    """
+    """Mirror-symmetric nodes on [0, pi], samples C and weighted samples
+    2 pi w sin(theta) C, the correlation evaluated once on all nodes."""
     if breakpoints is None:
         breakpoints = _model_breakpoints(corr)
     theta, w = panel_nodes(breakpoints, n_nodes)
     f = _sample_correlation(corr, theta)
     if f.shape != theta.shape:
         raise ValueError("correlation evaluation returned a wrong shape")
-    base = 2.0 * math.pi * w * np.sin(theta) * f
-    keep = base != 0.0
-    return theta[keep], f[keep], base[keep]
+    return theta, f, 2.0 * math.pi * w * np.sin(theta) * f
 
 
 def _legendre_rows(x, ell_max):
-    """Yield P_0(x), ..., P_ell_max(x) from the upward three-term recurrence.
+    """Yield (ell, scale, rows) with P_ell+i(x) = scale[i] * rows[i], the
+    blocks in order and together P_0(x) .. P_ell_max(x).
 
-    Two buffers are updated in place, nothing is allocated per multipole:
-    each step overwrites the row before the one just yielded, so only the
-    last two rows stay valid together.  Nothing is computed past ell_max.
+    The rows follow the upward three-term recurrence in normalised form,
+
+        Q_ell = alpha_ell x Q_ell-1 - Q_ell-2,   P_ell = h_ell Q_ell,
+
+    with h_0 = h_1 = 1, h_ell = h_ell-2 (ell - 1) / ell and alpha_ell =
+    (2 ell - 1) h_ell-1 / (ell h_ell), so that a step is two array
+    operations: the rows alpha x of a whole block are written first, each
+    then multiplied in place by the row before it, less the row before
+    that.  h_ell falls like ell^(-1/2), so Q_ell neither overflows nor
+    underflows.  With h and alpha as rounded, h Q still obeys the plain
+    recurrence with coefficients exact to rounding in each step, so the
+    rows are as accurate as the plain form's.  Negating x negates alpha x
+    exactly, and rounding is symmetric, so the rows at -x are (-1)^ell
+    times those at x, bit for bit.
+
+    The rows are written into one buffer of about ``BLOCK_BYTES`` (at
+    least four rows), reused for every block, so a block stays valid only
+    until the next is asked for; its two rows in front carry the last two
+    of the block before.  The last block holds at least two rows.
     """
-    p_prev, p, scratch = np.ones_like(x), x.copy(), np.empty_like(x)
-    yield p_prev
-    if ell_max:
-        yield p
-    for ell in range(1, ell_max):
-        # (ell+1) P_{ell+1} = (2 ell + 1) x P_ell - ell P_{ell-1}
-        np.multiply(x, p, out=scratch)
-        scratch *= (2 * ell + 1) / (ell + 1)
-        p_prev *= ell / (ell + 1)
-        np.subtract(scratch, p_prev, out=p_prev)
-        p_prev, p = p, p_prev
-        yield p
+    n_rows = ell_max + 1
+    ell = np.arange(2.0, n_rows)
+    h = np.ones(n_rows)
+    for parity in (0, 1):
+        h[2 + parity :: 2] = np.cumprod((ell[parity::2] - 1.0) / ell[parity::2])
+    alpha = np.ones(n_rows)
+    alpha[2:] = (2.0 * ell - 1.0) / ell * h[1:-1] / h[2:]
+
+    per_block = max(2, BLOCK_BYTES // (8 * max(x.size, 1)) - 2)
+    buf = np.empty((min(per_block, n_rows) + 2, x.size))
+    row, multiply, subtract = list(buf), np.multiply, np.subtract
+    start = 0
+    while start < n_rows:
+        stop = min(start + per_block, n_rows)
+        if stop == n_rows - 1:
+            stop -= 1  # the Gauss builder reads the last two rows
+        size = stop - start
+        block = buf[2 : 2 + size]
+        multiply(alpha[start:stop, None], x, out=block)
+        if start == 0:
+            block[0] = 1.0  # Q_0; Q_1 = alpha_1 x = x
+        for i in range(2 + max(0, 2 - start), 2 + size):
+            multiply(row[i], row[i - 1], row[i])
+            subtract(row[i], row[i - 2], row[i])
+        yield start, h[start:stop], block
+        buf[:2] = buf[size : size + 2]
+        start = stop
 
 
 def legendre_coefficients(corr, ell_max=2000, breakpoints=None, n_nodes=None):
@@ -377,9 +443,17 @@ def legendre_coefficients(corr, ell_max=2000, breakpoints=None, n_nodes=None):
 
     Notes
     -----
-    P_ell(cos theta) is generated by the upward three-term recurrence and
-    contracted with the weighted samples one multipole at a time, so
-    memory stays O(nodes) rather than O(nodes * ell_max).
+    The nodes are mirror-symmetric about pi/2 (see :func:`panel_nodes`) and
+    the correlation is evaluated once on all of them.  Node N-1-i sits at
+    pi - theta_i, where P_ell(cos theta) takes the factor (-1)^ell, so the
+    weighted samples b are folded pairwise: even multipoles are contracted
+    with b(theta) + b(pi - theta), odd ones with b(theta) - b(pi - theta),
+    and P_ell(cos theta) is generated only for theta <= pi/2.  A centre
+    node at pi/2 is its own mirror image and counts once; a pair is dropped
+    only when both its samples are exactly zero.  The upward three-term
+    recurrence fills a buffer of ``BLOCK_BYTES`` a block of multipoles at a
+    time and each block is contracted with one matrix product per parity,
+    so memory stays O(nodes) rather than O(nodes * ell_max).
     """
     ell_max = int(ell_max)
     if ell_max < 1:
@@ -387,8 +461,18 @@ def legendre_coefficients(corr, ell_max=2000, breakpoints=None, n_nodes=None):
     if n_nodes is None:
         n_nodes = _band_order(ell_max + 0.5, math.pi)
     theta, _, base = _weighted_samples(corr, breakpoints, n_nodes)
-    rows = _legendre_rows(np.cos(theta), ell_max)
-    out = np.fromiter((base @ p for p in rows), float, count=ell_max + 1)
+    half = (theta.size + 1) // 2
+    lower, upper = base[:half], base[::-1][:half].copy()
+    if theta.size % 2:
+        upper[-1] = 0.0  # the centre node is its own mirror image
+    keep = (lower != 0.0) | (upper != 0.0)
+    parity = ((lower + upper)[keep], (lower - upper)[keep])
+    out = np.empty(ell_max + 1)
+    for ell, scale, rows in _legendre_rows(np.cos(theta[:half][keep]), ell_max):
+        stop = ell + rows.shape[0]
+        out[ell:stop:2] = rows[::2] @ parity[ell % 2]
+        out[ell + 1 : stop : 2] = rows[1::2] @ parity[1 - ell % 2]
+        out[ell:stop] *= scale
     return PowerSpectrum(np.arange(ell_max + 1, dtype=float), out)
 
 
@@ -405,14 +489,14 @@ def correlation_from_spectrum(spectrum, theta):
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if np.any(theta < 0) or np.any(theta > math.pi + 1e-12):
         raise ValueError("theta must lie in [0, pi]")
-
-    coeff = spectrum.values * (2.0 * spectrum.grid + 1.0) / (4.0 * math.pi)
-    acc, term = np.zeros_like(theta), np.empty_like(theta)
-    for c, p in zip(coeff, _legendre_rows(np.cos(theta), coeff.size - 1)):
-        acc += np.multiply(c, p, out=term)
     order = np.argsort(theta)
     if np.any(np.diff(theta[order]) <= 0):
         raise ValueError("theta grid must not contain duplicates")
+
+    coeff = spectrum.values * (2.0 * spectrum.grid + 1.0) / (4.0 * math.pi)
+    acc = np.zeros_like(theta)
+    for ell, scale, rows in _legendre_rows(np.cos(theta), coeff.size - 1):
+        acc += (coeff[ell : ell + rows.shape[0]] * scale) @ rows
     return TabulatedCorrelation(theta[order], acc[order])
 
 
@@ -456,7 +540,8 @@ def small_angle_spectrum(corr, k_grid, breakpoints=None):
             "is unreliable there",
             stacklevel=2,
         )
-    return PowerSpectrum(k_grid, _kernel_sums(j0, k_grid, theta, base))
+    keep = base != 0.0
+    return PowerSpectrum(k_grid, _kernel_sums(j0, k_grid, theta[keep], base[keep]))
 
 
 def ft_1d(profile, k_grid):

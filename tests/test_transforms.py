@@ -237,8 +237,10 @@ def test_default_order_resolves_the_ell_6000_tail(name):
 @pytest.mark.parametrize("n_nodes", [4096, 8192, 1000, 100, 10])
 @pytest.mark.parametrize("cuts_deg", [(), (1.03,), (2.0, 4.0), (2.29, 38.2), (0.01, 90.0, 179.9)])
 def test_panel_orders_keep_the_full_range_density(n_nodes, cuts_deg):
-    cuts = [0.0, *np.radians(cuts_deg), math.pi]
-    theta, w = panel_nodes(cuts[1:-1], n_nodes)
+    # The panels end at every breakpoint and at its mirror image.
+    breakpoints = np.radians(cuts_deg)
+    cuts = sorted({0.0, math.pi, *breakpoints, *(math.pi - breakpoints)})
+    theta, w = panel_nodes(breakpoints, n_nodes)
     for a, b in zip(cuts[:-1], cuts[1:]):
         inside = (theta > a) & (theta < b)
         order = int(inside.sum())
@@ -247,6 +249,111 @@ def test_panel_orders_keep_the_full_range_density(n_nodes, cuts_deg):
         assert order == n_nodes or order & (order - 1) == 0
         npt.assert_allclose(w[inside].sum(), b - a, rtol=1e-13)
     assert theta.size == w.size
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_panel_nodes_are_mirror_symmetric(seed):
+    rng = np.random.default_rng(seed)
+    lo, hi = (0.0, math.pi) if seed < 4 else np.sort(rng.uniform(-2.0, 5.0, 2))
+    breakpoints = rng.uniform(lo, hi, rng.integers(0, 5))
+    n_nodes = int(rng.choice([10, 33, 64, 100, 1000, 4096]))
+    theta, w = panel_nodes(breakpoints, n_nodes, lo=lo, hi=hi)
+    half = theta.size // 2
+    # Node N-1-i is built as lo + hi - theta_i, and a centre node (odd N)
+    # sits on the midpoint.
+    npt.assert_array_equal(theta[::-1][:half], (lo + hi) - theta[:half])
+    npt.assert_allclose(theta + theta[::-1], lo + hi, rtol=0.0, atol=2 * np.spacing(abs(lo) + hi))
+    npt.assert_array_equal(w, w[::-1])
+    if theta.size % 2:
+        assert theta[half] == 0.5 * (lo + hi)
+    assert np.all(np.diff(theta) > 0) and lo < theta[0] and theta[-1] < hi
+    npt.assert_allclose(w.sum(), hi - lo, rtol=1e-13)
+
+
+def _plain_rows(x, ell_max):
+    """P_0(x) .. P_ell_max(x) by the textbook recurrence, one row at a time."""
+    p_prev, p = np.ones_like(x), x.copy()
+    yield p_prev
+    yield p
+    for ell in range(1, ell_max):
+        p_prev, p = p, ((2 * ell + 1) * x * p - ell * p_prev) / (ell + 1)
+        yield p
+
+
+def _rows_of(x, ell_max):
+    """All rows of the package's recurrence: (unscaled rows, P_ell rows)."""
+    rows, scaled = [], []
+    for ell, scale, block in transforms._legendre_rows(x, ell_max):
+        assert ell == sum(r.shape[0] for r in rows)
+        rows.append(block.copy())
+        scaled.append(scale[:, None] * block)
+    # The Gauss builder reads P_n-1 and P_n from the last block.
+    assert rows[-1].shape[0] >= 2
+    return np.concatenate(rows), np.concatenate(scaled)
+
+
+@pytest.mark.parametrize("block_bytes", [transforms.BLOCK_BYTES, 8 * 4 * 37, 1])
+def test_legendre_rows_are_odd_or_even_bit_for_bit(block_bytes, monkeypatch):
+    # Blocks of 2, 146 or thousands of rows: the carry between blocks and
+    # the last block's two rows are exercised.
+    monkeypatch.setattr(transforms, "BLOCK_BYTES", block_bytes)
+    x = np.cos(np.linspace(0.0, math.pi / 2, 37))
+    for ell_max in (1, 2, 3, 300):
+        rows, scaled = _rows_of(x, ell_max)
+        mirror, mirror_scaled = _rows_of(-x, ell_max)
+        sign = (-1.0) ** np.arange(ell_max + 1)[:, None]
+        assert rows.shape == (ell_max + 1, x.size)
+        npt.assert_array_equal(mirror, sign * rows)
+        npt.assert_array_equal(mirror_scaled, sign * scaled)
+        # Near x = 1 both recurrences drift by some ulp per step.
+        npt.assert_allclose(scaled, np.array(list(_plain_rows(x, ell_max))), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("block_bytes", [8 * 4 * 37, 1])
+def test_gauss_rules_do_not_depend_on_the_block_size(block_bytes, monkeypatch):
+    expect = {n: transforms._newton_gauss_rule(n) for n in (1, 2, 3, 74, 75, 256)}
+    monkeypatch.setattr(transforms, "BLOCK_BYTES", block_bytes)
+    for n, (x, w) in expect.items():
+        got_x, got_w = transforms._newton_gauss_rule(n)
+        npt.assert_array_equal(got_x, x)
+        npt.assert_array_equal(got_w, w)
+
+
+def _plain_transform(corr, breakpoints, ell_max, n_nodes):
+    """C_ell contracted over every node, one multipole at a time."""
+    theta, w = panel_nodes(breakpoints, n_nodes)
+    base = 2.0 * math.pi * w * np.sin(theta) * corr(theta)
+    return np.array([base @ p for p in _plain_rows(np.cos(theta), ell_max)])
+
+
+@pytest.mark.parametrize("name, ell_max, n_nodes", [
+    ("c1", 2000, None), ("c2", 2000, None), ("toy2-uniform", 2000, None),
+    ("toy2-distance", 2000, None), ("cap", 2000, None), ("c2", 6000, 8192)])
+def test_folded_transform_matches_a_contraction_over_all_nodes(name, ell_max, n_nodes):
+    theta0 = math.radians(3.0)
+    if name == "cap":
+        corr, breakpoints = (lambda t: (t <= theta0).astype(float)), (theta0,)
+    else:
+        corr = default_model(name)
+        breakpoints = corr.breakpoints()
+    order = n_nodes or transforms._band_order(ell_max + 0.5, math.pi)
+    expect = _plain_transform(corr, breakpoints, ell_max, order)
+    got = legendre_coefficients(corr, ell_max=ell_max, breakpoints=breakpoints, n_nodes=n_nodes)
+    npt.assert_allclose(got.values, expect, rtol=0.0, atol=1e-12 * np.max(np.abs(expect)))
+
+
+@pytest.mark.parametrize("breakpoints", [(), (math.radians(50.0),)])
+@pytest.mark.parametrize("n_nodes", [33, 63])
+def test_a_centre_node_counts_once(n_nodes, breakpoints):
+    # An odd order puts a node on pi/2, which is its own mirror image.
+    theta, _ = panel_nodes(breakpoints, n_nodes)
+    assert theta.size % 2 == 1 and theta[theta.size // 2] == math.pi / 2
+    monopole = legendre_coefficients(np.ones_like, ell_max=4, breakpoints=breakpoints,
+                                     n_nodes=n_nodes).values
+    npt.assert_allclose(monopole, [FOUR_PI, 0.0, 0.0, 0.0, 0.0], rtol=0.0, atol=1e-13)
+    p3 = legendre_coefficients(lambda t: legval(np.cos(t), [0, 0, 0, 1]), ell_max=5,
+                               breakpoints=breakpoints, n_nodes=n_nodes).values
+    npt.assert_allclose(p3, [0.0, 0.0, 0.0, FOUR_PI / 7.0, 0.0, 0.0], rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("ell_max, n_nodes", [(2000, 4096), (6000, 8192)])
@@ -340,6 +447,16 @@ def test_resum_rejects_non_multipole_grids():
     spec = PowerSpectrum([0.5, 1.5, 2.5], [1.0, 1.0, 1.0])
     with pytest.raises(ValueError):
         correlation_from_spectrum(spec, [0.1, 0.2])
+
+
+def test_resum_rejects_duplicate_angles_before_any_work(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("the recurrence ran")
+
+    monkeypatch.setattr(transforms, "_legendre_rows", no_rows)
+    spec = PowerSpectrum(np.arange(3.0), [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="duplicates"):
+        correlation_from_spectrum(spec, [0.3, 0.1, 0.3])
 
 
 def test_tabulated_input_must_cover_the_sphere():
