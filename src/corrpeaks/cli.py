@@ -2,7 +2,9 @@
 
 Every subcommand is a pure function of its flags, config file, and seed;
 output CSVs embed a '#'-prefixed manifest of the resolved settings and
-are byte-identical across reruns and thread counts.
+are byte-identical across reruns and thread counts.  Settings resolve in
+one order: library defaults, then the config file (toy2 and mc only),
+then the flags actually given.
 
 Exit codes: 0 success, 1 usage error (bad flags or parameters),
 2 computation or input-data error.
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .corr_models import default_model, model_from_params
+from .corr_models import _config_value, _params_fields, default_model
 from .csvio import (
     CsvFormatError,
     read_config,
@@ -29,8 +31,13 @@ from .csvio import (
     write_spectrum,
     write_summary,
 )
-from .peak_analysis import InsufficientPeaksError, analyze_spectrum
-from .toy_disks_analytic import correlation_toy1, preset_case
+from .peak_analysis import (
+    PROMINENCE_FRAC,
+    SMOOTHING_WINDOW,
+    InsufficientPeaksError,
+    analyze_spectrum,
+)
+from .toy_disks_analytic import DEFAULT_N_DISKS, correlation_toy1, preset_case
 from .toy_disks_mc import DiskEnsembleConfig, PackingError, run_ensemble
 from .transforms import (
     ExtrapolationError,
@@ -95,11 +102,13 @@ def _fmt_deg(rad):
 def _add_common(parser, top_level):
     # Registered on the root parser (with real defaults) and again on every
     # subparser (defaults suppressed), so the flags work in either position.
+    # --seed and --config default to None: a seed flag not given never hides
+    # a config seed.
     kw = {} if top_level else {"default": argparse.SUPPRESS}
+    parser.add_argument("--seed", type=int, help="base RNG seed (default 0)", **kw)
     parser.add_argument(
-        "--seed", type=int, help="base RNG seed", **({"default": 0} if top_level else kw)
+        "--config", type=Path, help="key = value config file (toy2 and mc)", **kw
     )
-    parser.add_argument("--config", type=Path, help="key = value config file", **kw)
     parser.add_argument(
         "--out-dir",
         type=Path,
@@ -163,7 +172,7 @@ def build_parser():
         "toy1", parents=[common], help="analytic disk-field correlation"
     )
     p.add_argument("--case", required=True, choices=("a", "b", "c", "d"))
-    p.add_argument("--n-disks", type=float, default=1000.0)
+    p.add_argument("--n-disks", type=float, default=DEFAULT_N_DISKS)
     p.add_argument("--radius", type=parse_angle, default=math.radians(1.0))
     p.add_argument("--theta-min", type=parse_angle, default=math.radians(0.05))
     p.add_argument("--theta-max", type=parse_angle, default=math.radians(4.0))
@@ -204,8 +213,8 @@ def build_parser():
 
     p = sub.add_parser("analyze", parents=[common], help="peak report for a spectrum CSV")
     p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--smoothing-window", type=int, default=5)
-    p.add_argument("--prominence-frac", type=float, default=0.01)
+    p.add_argument("--smoothing-window", type=int, default=SMOOTHING_WINDOW)
+    p.add_argument("--prominence-frac", type=float, default=PROMINENCE_FRAC)
     p.set_defaults(func=cmd_analyze)
 
     return parser
@@ -222,7 +231,7 @@ def _base_manifest(args, command, **extra):
         "tool": "corrpeaks",
         "version": __version__,
         "command": command,
-        "seed": args.seed,
+        "seed": 0 if args.seed is None else args.seed,
     }
     manifest.update(extra)
     return manifest
@@ -242,15 +251,6 @@ def _write_gnuplot(args, csv_name, columns, title):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
-
-
-def _resolve_model(args, config):
-    if args.model is not None:
-        return default_model(args.model), args.model
-    if "model" in config:
-        model = model_from_params(config)
-        return model, config["model"]
-    return None, None
 
 
 def _print_verdict_reason(report):
@@ -275,9 +275,6 @@ def _print_peak_preview(spec):
 
 
 def cmd_transform(args):
-    config = _load_config(args)
-    model, model_name = _resolve_model(args, config)
-
     if args.mode == "resum":
         if args.input is None:
             raise ValueError("resum mode needs --input SPECTRUM_CSV")
@@ -297,10 +294,8 @@ def cmd_transform(args):
 
     if args.input is not None:
         source, label = read_correlation(args.input), args.input.stem
-    elif model is not None:
-        source, label = model, model_name
     else:
-        raise ValueError("need --model or --input (or a config with model params)")
+        source, label = default_model(args.model), args.model
 
     if args.mode == "legendre":
         spec = legendre_coefficients(source, ell_max=args.ell_max)
@@ -339,18 +334,17 @@ def cmd_toy1(args):
     return 0
 
 
-# toy2 flag -> (model field, config key, config value in the field's units)
-_TOY2_KEYS = {
-    "uniform": {
-        "r_min": ("r_min", "R_min_deg", lambda v: math.radians(float(v))),
-        "r_max": ("r_max", "R_max_deg", lambda v: math.radians(float(v))),
-    },
-    "distance": {
-        "a0": ("a0", "A0", float),
-        "length": ("length", "L", float),
-        "distance_min": ("r_min", "r_min", float),
-        "distance_max": ("r_max", "r_max", float),
-    },
+def _given(args, flags):
+    """The flags in ``flags`` (flag -> field) that were given, by field."""
+    return {field: getattr(args, flag) for flag, field in flags.items()
+            if getattr(args, flag) is not None}
+
+
+# toy2 flag -> model field, per variant; the config keys are the model's own.
+_TOY2_FLAGS = {
+    "uniform": {"r_min": "r_min", "r_max": "r_max"},
+    "distance": {"a0": "a0", "length": "length", "distance_min": "r_min",
+                 "distance_max": "r_max"},
 }
 
 
@@ -362,19 +356,14 @@ def _toy2_model(args):
             f"config model {config['model']!r} does not match "
             f"--variant {args.variant} (expected toy2_{args.variant})"
         )
-    values = {}
-    for variant, keys in _TOY2_KEYS.items():
-        for flag, (field, key, conv) in keys.items():
-            given = getattr(args, flag)
-            if variant != args.variant:
-                if given is not None:
-                    raise ValueError(f"--{flag.replace('_', '-')} applies to --variant {variant}")
-                continue
-            if key in config:
-                values[field] = conv(config[key])
-            if given is not None:
-                values[field] = given
-    return dataclasses.replace(default_model(f"toy2-{args.variant}"), **values)
+    for variant, flags in _TOY2_FLAGS.items():
+        for flag in flags:
+            if variant != args.variant and getattr(args, flag) is not None:
+                raise ValueError(f"--{flag.replace('_', '-')} applies to --variant {variant}")
+    reference = default_model(f"toy2-{args.variant}")
+    values = {**_params_fields(type(reference), config),
+              **_given(args, _TOY2_FLAGS[args.variant])}
+    return dataclasses.replace(reference, **values)
 
 
 def cmd_toy2(args):
@@ -406,56 +395,61 @@ def cmd_toy2(args):
     return 0
 
 
-_MC_CONFIG_KEYS = {
-    "n_disks": int,
-    "points_per_disk": int,
-    "patch_size": float,
-    "hard_core": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
-    "n_realizations": int,
-    "seed": int,
-    "n_bins": int,
+def _boolean(text):
+    value = text.strip().lower()
+    if value not in ("true", "false", "yes", "no", "on", "off", "1", "0"):
+        raise ValueError("expected true/false, yes/no, on/off or 1/0")
+    return value in ("true", "yes", "on", "1")
+
+
+# DiskEnsembleConfig field -> (config key, type); radius_min and radius_max
+# give the radius as a range.
+_MC_KEYS = {
+    "n_disks": ("n_disks", int),
+    "radius": ("radius_deg", float),
+    "radius_min": ("radius_min_deg", float),
+    "radius_max": ("radius_max_deg", float),
+    "points_per_disk": ("points_per_disk", int),
+    "patch_size": ("patch_size", float),
+    "hard_core": ("hard_core", _boolean),
+    "n_realizations": ("n_realizations", int),
+    "seed": ("seed", int),
+    "n_bins": ("n_bins", int),
+    "theta_max": ("theta_max_deg", float),
 }
 
-# mc flag -> DiskEnsembleConfig field; the radius range flags come after these.
-_MC_FLAG_KEYS = {
-    "n_disks": "n_disks", "radius": "radius", "points_per_disk": "points_per_disk",
+# mc flag -> field of _MC_KEYS
+_MC_FLAGS = {
+    "n_disks": "n_disks", "radius": "radius", "radius_min": "radius_min",
+    "radius_max": "radius_max", "points_per_disk": "points_per_disk",
     "patch_size": "patch_size", "hard_core": "hard_core", "realizations": "n_realizations",
-    "n_bins": "n_bins", "theta_max": "theta_max",
+    "seed": "seed", "n_bins": "n_bins", "theta_max": "theta_max",
 }
+
+
+def _radius_range(values, name):
+    """Fold one layer's radius range into its radius; ``name`` spells a field."""
+    ends = (values.pop("radius_min", None), values.pop("radius_max", None))
+    if ends == (None, None):
+        return values
+    if None in ends:
+        raise ValueError(f"{name('radius_min')} and {name('radius_max')} must be given together")
+    if "radius" in values:
+        raise ValueError(f"{name('radius')} conflicts with {name('radius_min')}/"
+                         f"{name('radius_max')}; give one")
+    return {**values, "radius": ends}
 
 
 def _mc_config(args):
     """Layer DiskEnsembleConfig from defaults, then config file, then flags."""
-    values = {}
     config = _load_config(args)
-    for key, conv in _MC_CONFIG_KEYS.items():
-        if key in config:
-            values[key] = conv(config[key])
-    if "radius_deg" in config:
-        values["radius"] = math.radians(float(config["radius_deg"]))
-    if ("radius_min_deg" in config) != ("radius_max_deg" in config):
-        raise ValueError("config needs both radius_min_deg and radius_max_deg, or neither")
-    if "radius_deg" in config and "radius_min_deg" in config:
-        raise ValueError("config gives both radius_deg and a radius range; keep one")
-    if "radius_min_deg" in config:
-        values["radius"] = (
-            math.radians(float(config["radius_min_deg"])),
-            math.radians(float(config["radius_max_deg"])),
-        )
-    if "theta_max_deg" in config:
-        values["theta_max"] = math.radians(float(config["theta_max_deg"]))
-
-    for flag, key in _MC_FLAG_KEYS.items():
-        if getattr(args, flag) is not None:
-            values[key] = getattr(args, flag)
-    if (args.radius_min is None) != (args.radius_max is None):
-        raise ValueError("--radius-min and --radius-max must be given together")
-    if args.radius is not None and args.radius_min is not None:
-        raise ValueError("--radius conflicts with --radius-min/--radius-max; give one")
-    if args.radius_min is not None:
-        values["radius"] = (args.radius_min, args.radius_max)
-    values.setdefault("seed", args.seed)
-    return DiskEnsembleConfig(**values)
+    from_config = {field: _config_value(key, config[key], convert)
+                   for field, (key, convert) in _MC_KEYS.items() if key in config}
+    from_flags = _given(args, _MC_FLAGS)
+    return DiskEnsembleConfig(**{
+        **_radius_range(from_config, lambda field: _MC_KEYS[field][0]),
+        **_radius_range(from_flags, lambda field: "--" + field.replace("_", "-")),
+    })
 
 
 def cmd_mc(args):
@@ -527,6 +521,8 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 1
 
     try:
+        if args.config is not None and args.func not in (cmd_toy2, cmd_mc):
+            raise ValueError(f"{args.command} reads no config file; drop --config")
         args.out_dir.mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except (CsvFormatError, ExtrapolationError, InsufficientPeaksError) as exc:

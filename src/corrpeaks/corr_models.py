@@ -39,8 +39,21 @@ def _require_positive(**kwargs):
             raise ValueError(f"{name} must be positive, got {value}")
 
 
+class _Params:
+    """Serialization of a model through its row of ``_PARAMS``."""
+
+    def to_params(self):
+        """Plain dict of the model kind and every config key of the model."""
+        kind, keys = _PARAMS[type(self)]
+        params = {"model": kind}
+        for field, key in keys:
+            value = getattr(self, field)
+            params[key] = math.degrees(value) if key.endswith("_deg") else value
+        return params
+
+
 @dataclass(frozen=True)
-class DoubleExp:
+class DoubleExp(_Params):
     """C(theta) = a1 exp(-theta/s1) + a2 exp(-theta/s2); smooth everywhere."""
 
     a1: float
@@ -61,18 +74,9 @@ class DoubleExp:
         )
         return out[0] if scalar else out
 
-    def to_params(self):
-        return {
-            "model": "double_exp",
-            "A11": self.a1,
-            "A12": self.a2,
-            "theta11_deg": math.degrees(self.scale1),
-            "theta12_deg": math.degrees(self.scale2),
-        }
-
 
 @dataclass(frozen=True)
-class BrokenExp:
+class BrokenExp(_Params):
     """Two exponentials glued at theta_star, one on each side.
 
     The value jump at theta_star is tiny for the default parameters but
@@ -103,25 +107,9 @@ class BrokenExp:
         )
         return out[0] if scalar else out
 
-    def slope_jump(self):
-        """Right minus left first derivative at theta_star, closed form."""
-        left = -self.a1 / self.scale1 * math.exp(-self.theta_star / self.scale1)
-        right = -self.a2 / self.scale2 * math.exp(-self.theta_star / self.scale2)
-        return right - left
-
-    def to_params(self):
-        return {
-            "model": "broken_exp",
-            "A21": self.a1,
-            "A22": self.a2,
-            "theta21_deg": math.degrees(self.scale1),
-            "theta22_deg": math.degrees(self.scale2),
-            "theta_star_deg": math.degrees(self.theta_star),
-        }
-
 
 @dataclass(frozen=True)
-class Toy2Uniform:
+class Toy2Uniform(_Params):
     """Correlation of uncorrelated disks with radii uniform in [r_min, r_max].
 
     Piecewise closed form (overlap kernel A = 1, h(x) = 1 - x/2):
@@ -163,16 +151,9 @@ class Toy2Uniform:
         )
         return out[0] if scalar else out
 
-    def to_params(self):
-        return {
-            "model": "toy2_uniform",
-            "R_min_deg": math.degrees(self.r_min),
-            "R_max_deg": math.degrees(self.r_max),
-        }
-
 
 @dataclass(frozen=True)
-class Toy2Distance:
+class Toy2Distance(_Params):
     """Disks of fixed physical size at distances uniform in [r_min, r_max].
 
     The projected radius of a disk at distance r is length/r, and the
@@ -229,15 +210,19 @@ class Toy2Distance:
         out[mid] = a2 * (-rmn / el + 1.0 / tm + rmn**2 / (4.0 * el**2) * tm)
         return out[0] if scalar else out
 
-    def to_params(self):
-        return {
-            "model": "toy2_distance",
-            "A0": self.a0,
-            "L": self.length,
-            "r_min": self.r_min,
-            "r_max": self.r_max,
-        }
 
+# Config kind and (field, config key) pairs of each model, in field order.
+# A key ending in "_deg" holds its angle field in degrees; every other key
+# holds its field as is.
+_PARAMS = {
+    DoubleExp: ("double_exp", (("a1", "A11"), ("a2", "A12"),
+                               ("scale1", "theta11_deg"), ("scale2", "theta12_deg"))),
+    BrokenExp: ("broken_exp", (("a1", "A21"), ("a2", "A22"), ("scale1", "theta21_deg"),
+                               ("scale2", "theta22_deg"), ("theta_star", "theta_star_deg"))),
+    Toy2Uniform: ("toy2_uniform", (("r_min", "R_min_deg"), ("r_max", "R_max_deg"))),
+    Toy2Distance: ("toy2_distance", (("a0", "A0"), ("length", "L"),
+                                     ("r_min", "r_min"), ("r_max", "r_max"))),
+}
 
 # Reference parameter sets; angles quoted in degrees for legibility.
 _DEFAULTS = {
@@ -279,31 +264,22 @@ def default_model(name):
         ) from None
 
 
-_BUILDERS = {
-    "double_exp": lambda p: DoubleExp(
-        float(p["A11"]),
-        float(p["A12"]),
-        math.radians(float(p["theta11_deg"])),
-        math.radians(float(p["theta12_deg"])),
-    ),
-    "broken_exp": lambda p: BrokenExp(
-        float(p["A21"]),
-        float(p["A22"]),
-        math.radians(float(p["theta21_deg"])),
-        math.radians(float(p["theta22_deg"])),
-        math.radians(float(p["theta_star_deg"])),
-    ),
-    "toy2_uniform": lambda p: Toy2Uniform(
-        math.radians(float(p["R_min_deg"])),
-        math.radians(float(p["R_max_deg"])),
-    ),
-    "toy2_distance": lambda p: Toy2Distance(
-        float(p["A0"]),
-        float(p["L"]),
-        float(p["r_min"]),
-        float(p["r_max"]),
-    ),
-}
+def _config_value(key, text, convert=float):
+    """One config value parsed by ``convert``, in radians if ``key`` ends in _deg.
+
+    A value that does not parse raises ValueError naming its key.
+    """
+    try:
+        value = convert(text)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config {key} = {text!r}: {exc}") from None
+    return math.radians(value) if key.endswith("_deg") else value
+
+
+def _params_fields(model_type, params):
+    """Field values of ``model_type`` for those of its config keys in ``params``."""
+    _, keys = _PARAMS[model_type]
+    return {field: _config_value(key, params[key]) for field, key in keys if key in params}
 
 
 def model_from_params(params):
@@ -316,10 +292,12 @@ def model_from_params(params):
         kind = params["model"]
     except KeyError:
         raise ValueError("params must carry a 'model' key") from None
-    builder = _BUILDERS.get(str(kind).strip().lower())
-    if builder is None:
+    types = {name: model_type for model_type, (name, _) in _PARAMS.items()}
+    model_type = types.get(str(kind).strip().lower())
+    if model_type is None:
         raise ValueError(f"unknown model kind {kind!r}")
-    try:
-        return builder(params)
-    except KeyError as exc:
-        raise ValueError(f"missing parameter {exc.args[0]!r} for model {kind}") from None
+    fields = _params_fields(model_type, params)
+    for field, key in _PARAMS[model_type][1]:
+        if field not in fields:
+            raise ValueError(f"missing parameter {key!r} for model {kind}")
+    return model_type(**fields)

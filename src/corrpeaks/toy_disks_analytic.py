@@ -355,8 +355,7 @@ def other_disk_integral(theta, profile, centers, n_disks):
 
     n^2 Integral d^2x A(|x|) [1 + omega(|x + theta e|)]: the overlap
     convolved with the center pair density.  A is read from the profile
-    shape's table on every angle's offsets.  Vectorised over ``theta``;
-    one angle at a time, which bounds memory.
+    shape's table on every angle's offsets.  Vectorised over ``theta``.
     """
     if not 0 < n_disks < math.inf:
         raise ValueError(f"n_disks must be finite and positive, got {n_disks}")
@@ -365,10 +364,11 @@ def other_disk_integral(theta, profile, centers, n_disks):
     # The clip absorbs roundoff below omega = -1.
     density = (lambda u: np.maximum(1.0 + np.asarray(centers.omega(u), dtype=float), 0.0),
                centers.breakpoints, math.inf)
-    out = [_radial_convolution(np.array([t]), overlap, density, N_S, N_PHI)[0]
-           for t in theta.reshape(-1)]
+    flat = theta.reshape(-1)
+    # The convolution's panel cuts need at least one angle.
+    out = _radial_convolution(flat, overlap, density, N_S, N_PHI) if flat.size else flat
     rate = n_disks / (4.0 * math.pi)
-    return (rate**2 * np.array(out)).reshape(theta.shape)[()]
+    return (rate**2 * out).reshape(theta.shape)[()]
 
 
 def correlation_toy1(theta_grid, profile, omega, n_disks=DEFAULT_N_DISKS):

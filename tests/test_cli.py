@@ -1,6 +1,8 @@
 """End-to-end command-line checks: exit codes, files, determinism."""
 
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -142,6 +144,68 @@ def test_mc_config_file_with_flag_override(tmp_path):
     assert run("--out-dir", tmp_path / "z", "--config", cfg, "mc",
                "--radius-min", "0.5", "--radius-max", "1.5") == 0
     assert "# radius_deg = 0.5..1.5" in (tmp_path / "z" / "mc_stats.csv").read_text()
+
+
+def test_seed_flag_beats_config_seed(tmp_path):
+    argv = ("mc", "--n-disks", "30", "--points-per-disk", "8",
+            "--realizations", "4", "--patch-size", "0.5", "--n-bins", "16")
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = 3\n")
+    assert run("--out-dir", tmp_path / "flag", "--seed", "7", *argv) == 0
+    assert run("--out-dir", tmp_path / "root", "--config", cfg, "--seed", "7", *argv) == 0
+    assert run("--out-dir", tmp_path / "sub", "--config", cfg, *argv, "--seed", "7") == 0
+    assert run("--out-dir", tmp_path / "cfg", "--config", cfg, *argv) == 0
+    flag = (tmp_path / "flag" / "mc_stats.csv").read_bytes()
+    assert b"# seed = 7\n" in flag
+    for name in ("root", "sub"):
+        assert (tmp_path / name / "mc_stats.csv").read_bytes() == flag
+    # without the flag the config seed holds
+    assert b"# seed = 3\n" in (tmp_path / "cfg" / "mc_stats.csv").read_bytes()
+
+
+def test_bad_config_values_exit_1_naming_the_key(tmp_path, capsys):
+    for text, key in (("hard_core = ture\n", "hard_core"), ("n_disks = 2.5\n", "n_disks"),
+                      ("radius_deg = wide\n", "radius_deg")):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("points_per_disk = 8\nn_realizations = 2\n" + text)
+        assert run("--out-dir", tmp_path / "out", "--config", cfg, "mc") == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out" / "mc_stats.csv").exists()
+    cfg.write_text("model = toy2_uniform\nR_min_deg = one\n")
+    assert run("--out-dir", tmp_path / "out", "--config", cfg, "toy2", "--variant", "uniform") == 1
+    assert "R_min_deg" in capsys.readouterr().err
+    # every spelling of a boolean, in any case
+    for value, expect in (("TRUE", "true"), ("yes", "true"), ("On", "true"), ("1", "true"),
+                          ("false", "false"), ("No", "false"), ("OFF", "false"), ("0", "false")):
+        cfg.write_text(f"n_disks = 10\npoints_per_disk = 4\nn_realizations = 1\n"
+                       f"n_bins = 8\nhard_core = {value}\n")
+        assert run("--out-dir", tmp_path / "ok", "--config", cfg, "mc") == 0
+        assert f"# hard_core = {expect}\n" in (tmp_path / "ok" / "mc_stats.csv").read_text()
+
+
+def test_config_is_rejected_where_no_setting_reads_it(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_disks = 10\n")
+    write_spectrum(tmp_path / "spec.csv", PowerSpectrum(np.arange(40.0), 1.0 + np.arange(40.0) % 3))
+    out = tmp_path / "out"
+    for argv in (("transform", "--model", "c1", "--ell-max", "50"),
+                 ("toy1", "--case", "a", "--n-theta", "4"),
+                 ("analyze", "--input", tmp_path / "spec.csv")):
+        assert run("--out-dir", out, "--config", cfg, *argv) == 1
+        assert run("--out-dir", out, *argv, "--config", cfg) == 1
+    assert not out.exists()
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```")[1::2]
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("corrpeaks ")]
+    commands = set()
+    for line in lines:
+        args = cli.build_parser().parse_args(shlex.split(line)[1:])
+        commands.add(args.command)
+    assert commands == {"transform", "toy1", "toy2", "mc", "analyze"}
 
 
 def test_toy2_config_file_with_flag_override(tmp_path):

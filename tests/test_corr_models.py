@@ -70,16 +70,15 @@ def test_broken_exp_branches_and_jump():
 def test_broken_exp_slope_jump_closed_form():
     m = default_model("c2")
     ts = m.theta_star
-    expect = (-3600.0 / math.radians(11.45)) * math.exp(
-        -ts / math.radians(11.45)
-    ) - (-12000.0 / math.radians(0.79)) * math.exp(-ts / math.radians(0.79))
-    assert m.slope_jump() == pytest.approx(expect, rel=1e-12)
+    # right minus left first derivative at theta_star, branch by branch
+    s1, s2 = math.radians(0.79), math.radians(11.45)
+    expect = -3600.0 / s2 * math.exp(-ts / s2) + 12000.0 / s1 * math.exp(-ts / s1)
 
-    # and the branches really carry those one-sided slopes
+    # the branches really carry those one-sided slopes
     h = 1e-7
     left = (m(ts) - m(ts - h)) / h
     right = (m(ts + 2 * h) - m(ts + h)) / h
-    assert (right - left) == pytest.approx(m.slope_jump(), rel=1e-4)
+    assert (right - left) == pytest.approx(expect, rel=1e-4)
 
 
 def test_toy2_uniform_branch_values():
@@ -231,6 +230,18 @@ def test_params_use_degree_units():
     assert params["theta21_deg"] == pytest.approx(0.79)
 
 
+def test_params_keys_are_pinned():
+    # the config file format: a key renamed here breaks every saved config
+    expect = {
+        "c1": ["model", "A11", "A12", "theta11_deg", "theta12_deg"],
+        "c2": ["model", "A21", "A22", "theta21_deg", "theta22_deg", "theta_star_deg"],
+        "toy2-uniform": ["model", "R_min_deg", "R_max_deg"],
+        "toy2-distance": ["model", "A0", "L", "r_min", "r_max"],
+    }
+    for name, keys in expect.items():
+        assert list(default_model(name).to_params()) == keys, name
+
+
 def test_missing_key_is_named_in_the_error():
     params = default_model("c1").to_params()
     del params["A12"]
@@ -238,6 +249,10 @@ def test_missing_key_is_named_in_the_error():
         model_from_params(params)
     with pytest.raises(ValueError, match="model"):
         model_from_params({"A11": 1.0})
+    # so is a value that is not a number
+    params["A12"] = "big"
+    with pytest.raises(ValueError, match="A12"):
+        model_from_params(params)
 
 
 def test_alias_names_resolve():

@@ -223,6 +223,11 @@ def test_disk_integrals_reject_negative_angles():
 # other-disk term
 
 
+def test_other_disk_term_of_no_angles_is_empty():
+    prof, centers = preset_case("c")
+    assert other_disk_integral(np.array([]), prof, centers, N_C).shape == (0,)
+
+
 def test_fully_anticorrelated_centers_kill_the_cross_term():
     dead = CenterCorrelation(lambda t: np.full_like(t, -1.0), (), "empty")
     theta = np.linspace(0.0, 4.0 * R, 9)
