@@ -22,6 +22,7 @@ from . import __version__
 from .corr_models import _config_value, _params_fields, default_model
 from .csvio import (
     CsvFormatError,
+    peak_summary,
     read_config,
     read_correlation,
     read_spectrum,
@@ -99,47 +100,34 @@ def _fmt_deg(rad):
     return "%.12g" % math.degrees(rad)
 
 
-def _add_common(parser, top_level):
-    # Registered on the root parser (with real defaults) and again on every
-    # subparser (defaults suppressed), so the flags work in either position.
-    # --seed and --config default to None: a seed flag not given never hides
-    # a config seed.
-    kw = {} if top_level else {"default": argparse.SUPPRESS}
-    parser.add_argument("--seed", type=int, help="base RNG seed (default 0)", **kw)
-    parser.add_argument(
-        "--config", type=Path, help="key = value config file (toy2 and mc)", **kw
-    )
-    parser.add_argument(
-        "--out-dir",
-        type=Path,
-        help="directory for outputs",
-        **({"default": Path(".")} if top_level else kw),
-    )
-    parser.add_argument(
-        "--threads",
-        type=positive_int,
-        help="worker threads where supported",
-        **({"default": 1} if top_level else kw),
-    )
-    parser.add_argument(
-        "--gnuplot",
-        action="store_true",
-        help="also write a gnuplot script stub",
-        **({} if top_level else kw),
-    )
+def _common_flags():
+    """A parent parser holding the flags every position accepts, defaults suppressed.
 
-
-def _common_parent():
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common(common, top_level=False)
+    Call it once for the root parser, which sets the defaults, and once for
+    all subparsers: parents share their action objects, so a root default
+    set on a shared parent would also fill the subcommand's namespace and
+    hide a --out-dir given before the subcommand.
+    """
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int, help="base RNG seed (default 0)")
+    common.add_argument("--config", type=Path, help="key = value config file (toy2 and mc)")
+    common.add_argument("--out-dir", type=Path, help="directory for outputs")
+    common.add_argument("--threads", type=positive_int, help="worker threads where supported")
+    common.add_argument(
+        "--gnuplot", action="store_true", help="also write a gnuplot script stub"
+    )
     return common
 
 
 def build_parser():
-    common = _common_parent()
-    parser = _Parser(prog="corrpeaks", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=f"corrpeaks {__version__}")
-    _add_common(parser, top_level=True)
+    version = argparse.ArgumentParser(add_help=False)
+    version.add_argument("--version", action="version", version=f"corrpeaks {__version__}")
+    parser = _Parser(prog="corrpeaks", description=__doc__.splitlines()[0],
+                     parents=[version, _common_flags()])
+    # --seed and --config default to None: a seed flag not given never hides
+    # a config seed.
+    parser.set_defaults(seed=None, config=None, out_dir=Path("."), threads=1, gnuplot=False)
+    common = _common_flags()
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser(
@@ -237,41 +225,42 @@ def _base_manifest(args, command, **extra):
     return manifest
 
 
-def _write_gnuplot(args, csv_name, columns, title):
-    if not args.gnuplot:
-        return None
-    path = args.out_dir / (Path(csv_name).stem + ".gp")
+def _emit(args, name, write, *payload, plot=None):
+    """Write one artifact as ``write(path, *payload)`` under --out-dir and announce it.
+
+    With --gnuplot, ``plot = (columns, style, title)`` also writes a
+    gnuplot stub named after the file.
+    """
+    path = args.out_dir / name
+    write(path, *payload)
+    print(f"wrote {path}")
+    if not args.gnuplot or plot is None:
+        return
+    columns, style, title = plot
     lines = [
         "set datafile separator ','",
         f"set title '{title}'",
         "set key off",
-        f"plot '{csv_name}' using {columns} with lines",
+        f"plot '{name}' using {columns} with {style}",
         "pause -1",
     ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    stub = args.out_dir / (Path(name).stem + ".gp")
+    stub.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _print_verdict_reason(report):
+def _print_verdict(report):
+    """The one-line verdict on stdout, and why it came out so on stderr."""
+    print(
+        f"oscillation detected: {str(report.detected).lower()} "
+        f"(peaks={report.n_peaks}, quasi_period={report.quasi_period:.6g}, "
+        f"score={report.score:.3g})"
+    )
     # Diagnostics go to stderr so stdout and every output file stay as they are.
     print(
         f"verdict: regularity={report.regularity:.3g} "
         f"failed_threshold={report.failed_threshold or 'none'}",
         file=sys.stderr,
     )
-
-
-def _print_peak_preview(spec):
-    if spec.grid.size < 16:
-        return
-    report = analyze_spectrum(spec)
-    _print_verdict_reason(report)
-    if report.n_peaks == 0:
-        print("peaks: none detected")
-        return
-    head = ", ".join("%.6g" % loc for loc in report.locations[:3])
-    print(f"peaks: first at {head} (n={report.n_peaks}, detected={report.detected})")
 
 
 def cmd_transform(args):
@@ -287,9 +276,8 @@ def cmd_transform(args):
             theta_min_deg=_fmt_deg(args.theta_min),
             theta_max_deg=_fmt_deg(args.theta_max), n_theta=args.n_theta,
         )
-        write_correlation(args.out_dir / name, tab, manifest)
-        print(f"wrote {args.out_dir / name}")
-        _write_gnuplot(args, name, "1:2", "resummed correlation")
+        _emit(args, name, write_correlation, tab, manifest,
+              plot=("1:2", "lines", "resummed correlation"))
         return 0
 
     if args.input is not None:
@@ -310,10 +298,12 @@ def cmd_transform(args):
             k_min=args.k_min, k_max=args.k_max, n_k=args.n_k,
         )
     name = args.output or f"spectrum_{label}_{args.mode}.csv"
-    write_spectrum(args.out_dir / name, spec, manifest)
-    print(f"wrote {args.out_dir / name}")
-    _print_peak_preview(spec)
-    _write_gnuplot(args, name, "1:2", f"spectrum of {label}")
+    _emit(args, name, write_spectrum, spec, manifest,
+          plot=("1:2", "lines", f"spectrum of {label}"))
+    try:
+        _print_verdict(analyze_spectrum(spec))
+    except InsufficientPeaksError:
+        pass  # a spectrum too short to analyse is still a spectrum
     return 0
 
 
@@ -328,9 +318,8 @@ def cmd_toy1(args):
         theta_min_deg=_fmt_deg(args.theta_min),
         theta_max_deg=_fmt_deg(args.theta_max), n_theta=args.n_theta,
     )
-    write_correlation(args.out_dir / name, tab, manifest)
-    print(f"wrote {args.out_dir / name}")
-    _write_gnuplot(args, name, "1:2", f"disk-field correlation, case {args.case}")
+    _emit(args, name, write_correlation, tab, manifest,
+          plot=("1:2", "lines", f"disk-field correlation, case {args.case}"))
     return 0
 
 
@@ -376,22 +365,13 @@ def cmd_toy2(args):
     report = analyze_spectrum(spec)
 
     manifest = _base_manifest(args, "toy2", **{k: params[k] for k in sorted(params)})
-    corr_name = f"toy2_{args.variant}.csv"
-    spec_name = f"toy2_{args.variant}_spectrum.csv"
-    peaks_name = f"toy2_{args.variant}_peaks.csv"
-    write_correlation(args.out_dir / corr_name, tab, manifest)
-    write_spectrum(
-        args.out_dir / spec_name, spec, {**manifest, "ell_max": args.ell_max}
-    )
-    write_peak_report(args.out_dir / peaks_name, report, manifest)
-    for name in (corr_name, spec_name, peaks_name):
-        print(f"wrote {args.out_dir / name}")
-    print(
-        f"oscillation detected: {str(report.detected).lower()} "
-        f"(peaks={report.n_peaks}, quasi_period={report.quasi_period:.6g})"
-    )
-    _print_verdict_reason(report)
-    _write_gnuplot(args, spec_name, "1:2", f"toy2 {args.variant} spectrum")
+    stem = f"toy2_{args.variant}"
+    _emit(args, f"{stem}.csv", write_correlation, tab, manifest)
+    _emit(args, f"{stem}_spectrum.csv", write_spectrum, spec,
+          {**manifest, "ell_max": args.ell_max},
+          plot=("1:2", "lines", f"toy2 {args.variant} spectrum"))
+    _emit(args, f"{stem}_peaks.csv", write_peak_report, report, manifest)
+    _print_verdict(report)
     return 0
 
 
@@ -468,10 +448,8 @@ def cmd_mc(args):
         theta_max_deg=_fmt_deg(config.bin_edges[-1]),
     )
     manifest["seed"] = config.seed
-    name = args.output or "mc_stats.csv"
-    write_ensemble_stats(args.out_dir / name, stats, manifest)
-    print(f"wrote {args.out_dir / name}")
-    _write_gnuplot(args, name, "1:2:3 with yerrorbars", "MC ensemble correlation")
+    _emit(args, args.output or "mc_stats.csv", write_ensemble_stats, stats, manifest,
+          plot=("1:2:3", "yerrorbars", "MC ensemble correlation"))
     return 0
 
 
@@ -488,28 +466,9 @@ def cmd_analyze(args):
         prominence_frac="%.12g" % args.prominence_frac,
     )
     stem = args.input.stem
-    peaks_path = args.out_dir / f"{stem}_peaks.csv"
-    summary_path = args.out_dir / f"{stem}_summary.txt"
-    write_peak_report(peaks_path, report, manifest)
-    write_summary(
-        summary_path,
-        {
-            "detected": str(report.detected).lower(),
-            "n_peaks": report.n_peaks,
-            "quasi_period": "%.12g" % report.quasi_period,
-            "quasi_period_std": "%.12g" % report.quasi_period_std,
-            "envelope_exponent": "%.12g" % report.envelope_exponent,
-            "envelope_stderr": "%.12g" % report.envelope_stderr,
-            "score": "%.12g" % report.score,
-        },
-    )
-    print(f"wrote {peaks_path}")
-    print(f"wrote {summary_path}")
-    print(
-        f"oscillation detected: {str(report.detected).lower()} "
-        f"(peaks={report.n_peaks}, score={report.score:.3g})"
-    )
-    _print_verdict_reason(report)
+    _emit(args, f"{stem}_peaks.csv", write_peak_report, report, manifest)
+    _emit(args, f"{stem}_summary.txt", write_summary, peak_summary(report))
+    _print_verdict(report)
     return 0
 
 
@@ -525,12 +484,10 @@ def main(argv=None):
             raise ValueError(f"{args.command} reads no config file; drop --config")
         args.out_dir.mkdir(parents=True, exist_ok=True)
         return args.func(args)
-    except (CsvFormatError, ExtrapolationError, InsufficientPeaksError) as exc:
-        print(f"corrpeaks: {exc}", file=sys.stderr)
-        return 2
-    except (RuntimeError, OSError, ArithmeticError) as exc:
-        # PackingError and friends: the request was well-formed but the
-        # computation could not be carried out.
+    except (CsvFormatError, ExtrapolationError, InsufficientPeaksError,
+            RuntimeError, OSError, ArithmeticError) as exc:
+        # Bad input data, or a well-formed request whose computation could
+        # not be carried out (PackingError and friends).
         print(f"corrpeaks: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

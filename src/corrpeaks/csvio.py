@@ -21,6 +21,7 @@ __all__ = [
     "read_spectrum",
     "write_ensemble_stats",
     "read_ensemble_stats",
+    "peak_summary",
     "write_peak_report",
     "write_summary",
     "read_config",
@@ -171,20 +172,20 @@ def read_ensemble_stats(path):
     return np.radians(data[:, 0]), data[:, 1], data[:, 2], data[:, 3].astype(int)
 
 
+def peak_summary(report):
+    """A PeakReport's summary quantities as key -> text; NaN reads "nan"."""
+    measured = ("quasi_period", "quasi_period_std", "envelope_exponent", "envelope_stderr", "score")
+    return {
+        "n_peaks": report.n_peaks,
+        **{key: _fmt(getattr(report, key)) or "nan" for key in measured},
+        "detected": str(bool(report.detected)).lower(),
+    }
+
+
 def write_peak_report(path, report, manifest=None):
     """Write a PeakReport: summary quantities as manifest keys, peaks as rows."""
-    merged = dict(manifest or {})
-    merged.update(
-        n_peaks=report.n_peaks,
-        quasi_period=_fmt(report.quasi_period) or "nan",
-        quasi_period_std=_fmt(report.quasi_period_std) or "nan",
-        envelope_exponent=_fmt(report.envelope_exponent) or "nan",
-        envelope_stderr=_fmt(report.envelope_stderr) or "nan",
-        score=_fmt(report.score),
-        detected=str(bool(report.detected)).lower(),
-    )
     rows = ((_fmt(loc), _fmt(h)) for loc, h in zip(report.locations, report.heights))
-    _write_table(path, ["location", "height"], rows, merged)
+    _write_table(path, ["location", "height"], rows, {**(manifest or {}), **peak_summary(report)})
 
 
 def write_summary(path, entries):

@@ -41,7 +41,7 @@ ASYMPTOTIC_FACTOR = 3.0
 
 
 class InsufficientPeaksError(ValueError):
-    """Raised when an analysis step needs more peaks than were found."""
+    """Raised when an analysis step needs more peaks, or spectrum points, than it has."""
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def find_peaks(spec, smoothing_window=SMOOTHING_WINDOW, prominence_frac=PROMINEN
     Parameters
     ----------
     spec : PowerSpectrum
-        Needs at least 16 grid points.
+        Needs at least 16 grid points; fewer raise InsufficientPeaksError.
     smoothing_window : odd int
         Moving-average width applied before extremum search, at most
         2 * size - 1; reflective padding keeps the ends unbiased.
@@ -127,7 +127,7 @@ def find_peaks(spec, smoothing_window=SMOOTHING_WINDOW, prominence_frac=PROMINEN
     if not isinstance(spec, PowerSpectrum):
         raise TypeError("expected a PowerSpectrum")
     if spec.grid.size < 16:
-        raise ValueError("spectrum too short for peak analysis (< 16 points)")
+        raise InsufficientPeaksError("spectrum too short for peak analysis (< 16 points)")
     if not 0.0 <= prominence_frac <= 1.0:
         raise ValueError(f"prominence_frac must lie in [0, 1], got {prominence_frac}")
 

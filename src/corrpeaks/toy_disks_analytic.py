@@ -243,6 +243,8 @@ def _radial_convolution(d, g, h, n_r, n_psi):
     support and kinks, and at |d - b| and d + b for every level b of h,
     where the circles start or stop crossing it.
     """
+    if d.size == 0:  # no angles, no panel cuts
+        return d
     g_fn, g_kinks, g_support = g
     _, h_kinks, h_support = h
     cut_cols = [np.full_like(d, c) for c in (0.0, g_support, *g_kinks)]
@@ -364,9 +366,7 @@ def other_disk_integral(theta, profile, centers, n_disks):
     # The clip absorbs roundoff below omega = -1.
     density = (lambda u: np.maximum(1.0 + np.asarray(centers.omega(u), dtype=float), 0.0),
                centers.breakpoints, math.inf)
-    flat = theta.reshape(-1)
-    # The convolution's panel cuts need at least one angle.
-    out = _radial_convolution(flat, overlap, density, N_S, N_PHI) if flat.size else flat
+    out = _radial_convolution(theta.reshape(-1), overlap, density, N_S, N_PHI)
     rate = n_disks / (4.0 * math.pi)
     return (rate**2 * out).reshape(theta.shape)[()]
 

@@ -1,6 +1,7 @@
 """End-to-end command-line checks: exit codes, files, determinism."""
 
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -233,11 +234,55 @@ def test_toy2_config_file_with_flag_override(tmp_path):
 
 
 def test_gnuplot_stub(tmp_path):
-    assert run("--out-dir", tmp_path, "--gnuplot", "transform", "--model", "c1",
-               "--ell-max", "50", "--output", "c1.csv") == 0
-    stubs = list(tmp_path.glob("*.gp"))
-    assert len(stubs) == 1
-    assert "c1.csv" in stubs[0].read_text()
+    # one stub per plotted file, naming it, with a single plot style
+    write_spectrum(tmp_path / "in.csv", PowerSpectrum(np.arange(33.0), 1.0 + np.arange(33.0) % 3))
+    runs = {
+        "c1.csv": ("transform", "--model", "c1", "--ell-max", "50", "--output", "c1.csv"),
+        "back.csv": ("transform", "--input", tmp_path / "in.csv", "--mode", "resum",
+                     "--n-theta", "91", "--output", "back.csv"),
+        "toy1_case_a.csv": ("toy1", "--case", "a", "--n-theta", "4"),
+        "toy2_uniform_spectrum.csv": ("toy2", "--variant", "uniform", "--ell-max", "300"),
+        "mc_stats.csv": ("mc", "--n-disks", "10", "--points-per-disk", "4",
+                         "--realizations", "2", "--n-bins", "8"),
+    }
+    for csv_name, argv in runs.items():
+        out = tmp_path / Path(csv_name).stem
+        assert run("--out-dir", out, "--gnuplot", *argv) == 0
+        stubs = list(out.glob("*.gp"))
+        assert len(stubs) == 1
+        text = stubs[0].read_text()
+        assert f"'{csv_name}'" in text
+        assert text.count(" with ") == 1, text
+
+
+def test_one_verdict_line_for_every_command(tmp_path, capsys):
+    verdict = re.compile(r"oscillation detected: (true|false) "
+                         r"\(peaks=\d+, quasi_period=\S+, score=\S+\)")
+
+    def line():
+        lines = [s for s in capsys.readouterr().out.splitlines() if verdict.fullmatch(s)]
+        assert len(lines) == 1
+        return lines[0]
+
+    # the same spectrum read back from its file gets the same verdict
+    assert run("--out-dir", tmp_path, "transform", "--model", "c2", "--ell-max", "300") == 0
+    transform = line()
+    assert run("--out-dir", tmp_path, "analyze", "--input",
+               tmp_path / "spectrum_c2_legendre.csv") == 0
+    assert line() == transform
+    assert run("--out-dir", tmp_path, "toy2", "--variant", "uniform", "--ell-max", "600") == 0
+    toy2 = line()
+    assert toy2.startswith("oscillation detected: true")
+    assert run("--out-dir", tmp_path, "analyze", "--input",
+               tmp_path / "toy2_uniform_spectrum.csv") == 0
+    assert line() == toy2
+
+
+def test_out_dir_after_the_subcommand_wins(tmp_path):
+    assert run("--out-dir", tmp_path / "a", "transform", "--model", "c1", "--ell-max", "20",
+               "--out-dir", tmp_path / "b") == 0
+    assert not (tmp_path / "a").exists()
+    assert [p.name for p in (tmp_path / "b").iterdir()] == ["spectrum_c1_legendre.csv"]
 
 
 def test_usage_errors_exit_1(tmp_path):
@@ -303,6 +348,10 @@ def test_data_errors_exit_2(tmp_path):
     # infeasible hard-core packing is a runtime failure, not usage
     assert run("--out-dir", tmp_path, "mc", "--n-disks", "4000",
                "--hard-core", "--patch-size", "1.0", "--realizations", "1") == 2
+    # a spectrum too short to analyse is bad data, and nothing is written
+    write_spectrum(tmp_path / "short.csv", PowerSpectrum(np.arange(10.0), 1.0 + np.arange(10.0) % 3))
+    assert run("--out-dir", tmp_path / "out", "analyze", "--input", tmp_path / "short.csv") == 2
+    assert not list((tmp_path / "out").glob("*"))
 
 
 def test_truncated_correlation_input_exits_2(tmp_path):

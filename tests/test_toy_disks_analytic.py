@@ -226,6 +226,7 @@ def test_disk_integrals_reject_negative_angles():
 def test_other_disk_term_of_no_angles_is_empty():
     prof, centers = preset_case("c")
     assert other_disk_integral(np.array([]), prof, centers, N_C).shape == (0,)
+    assert same_disk_integral(np.array([]), prof).shape == (0,)
 
 
 def test_fully_anticorrelated_centers_kill_the_cross_term():
