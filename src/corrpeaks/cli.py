@@ -482,6 +482,9 @@ def main(argv=None):
     try:
         if args.config is not None and args.func not in (cmd_toy2, cmd_mc):
             raise ValueError(f"{args.command} reads no config file; drop --config")
+        resum = args.command == "transform" and args.mode == "resum"
+        if resum and not args.theta_min < args.theta_max:
+            raise ValueError("--theta-min must be below --theta-max")
         args.out_dir.mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except (CsvFormatError, ExtrapolationError, InsufficientPeaksError,

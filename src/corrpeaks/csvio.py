@@ -20,7 +20,6 @@ __all__ = [
     "write_spectrum",
     "read_spectrum",
     "write_ensemble_stats",
-    "read_ensemble_stats",
     "peak_summary",
     "write_peak_report",
     "write_summary",
@@ -163,13 +162,6 @@ def write_ensemble_stats(path, stats, manifest=None):
         for t, m, r, n in zip(stats.theta, stats.mean, stats.rms, stats.n_pairs)
     )
     _write_table(path, ["theta_deg", "mean", "rms", "n_pairs"], rows, manifest)
-
-
-def read_ensemble_stats(path):
-    """Read back an ensemble CSV as plain arrays (theta_rad, mean, rms, n_pairs)."""
-    _, rows = _read_columns(path, [["theta_deg", "mean", "rms", "n_pairs"]])
-    data = np.array(rows)
-    return np.radians(data[:, 0]), data[:, 1], data[:, 2], data[:, 3].astype(int)
 
 
 def peak_summary(report):

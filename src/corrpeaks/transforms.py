@@ -9,8 +9,11 @@ and the small-angle (flat) limit replaces P_ell(cos theta) by J_0(k theta)
 with k = ell + 1/2.  Everything is evaluated on fixed-order Gauss-Legendre
 nodes; integrands with kinks are handled by splitting the quadrature into
 panels at the model breakpoints, never by adaptive subdivision, so repeated
-runs are bit-identical.  The full-range order follows from the band limit
-(:func:`_band_order`) and shorter panels get their length share.
+runs are bit-identical.  The full-range order is the band share of the
+band limit plus a margin that grows like the cube root of the order
+(:func:`_band_order`, :func:`_margin`); a shorter panel gets its share of
+that band plus its own margin.  Orders are rounded up a ladder of eight
+per octave, k 2^e with 8 < k <= 16, so few rules are built and cached.
 
 The node set is mirror-symmetric about pi/2: every cut b is also made at
 pi - b and node N-1-i is pi - theta_i.  As P_ell(-x) = (-1)^ell P_ell(x),
@@ -22,8 +25,9 @@ A112, 2013).  A mirror pair whose two weighted samples are exactly zero
 is dropped before the multipole loop, as is a single node before the
 wavenumber loop of the small-angle transform.  The recurrence writes its
 rows into one buffer of ``BLOCK_BYTES``, and each block of multipoles is
-contracted with one matrix product instead of one dot per multipole; the
-resummation contracts its blocks the same way.
+contracted with one matrix product instead of one dot per multipole.  The
+resummation folds its angles the same way: an angle and its mirror image
+pi - theta share one row, read through the even-ell and odd-ell sums.
 """
 
 import math
@@ -54,18 +58,22 @@ __all__ = [
 ]
 
 MIN_PANEL_NODES = 64
-ORDER_MARGIN = 128
-MAX_ORDER = 32768  # the largest order ORDER_MARGIN was fitted for
+MAX_ORDER = 32768  # the largest order _margin was checked at
 
 # Newton's method for the Gauss nodes stops once no step moves a node
 # x = cos(theta) by more than a few ulp.  From Tricomi's start that takes
-# at most 4 steps (orders 1-300 and powers of two up to MAX_ORDER).
+# at most 4 steps (orders 1-300 and every ladder order up to MAX_ORDER).
 NEWTON_TOL = 4.0 * np.finfo(float).eps
 NEWTON_MAX_STEPS = 10
 
 # Tabulated input whose grid coincides with the quadrature nodes to this
 # tolerance is used directly, with no interpolation step at all.
 NODE_MATCH_ATOL = 1e-12
+
+# Resummation angles whose mirror images min(theta, pi - theta) agree to
+# this tolerance share one row of the recurrence.  np.linspace(0, pi, n)
+# is mirror-symmetric to 1 ulp of pi.
+FOLD_ATOL = 4.0 * np.spacing(math.pi)
 
 # Size of the buffer the Legendre recurrence writes its rows into; a block
 # of rows is contracted with one matrix product.
@@ -273,15 +281,42 @@ def _newton_gauss_rule(n):
     return np.concatenate((-x, x[::-1][odd:])), np.concatenate((w, w[::-1][odd:]))
 
 
+def _margin(order):
+    """Nodes an order-``order`` panel keeps beyond its band share.
+
+    A Legendre round trip has frequency up to 2 band, and the room a Gauss
+    rule needs for it grows like the cube root of the order.  At the
+    largest ell of each order from 256 to 16384 the round trip reaches
+    1e-8 at a room of about 4 order^(1/3) (38 nodes at 1024, 81 at 8192);
+    ceil(4.5 order^(1/3)) keeps it below 1e-9, also at MAX_ORDER.
+    """
+    return math.ceil(4.5 * order ** (1.0 / 3.0))
+
+
+def _ladder(n):
+    """Smallest k 2^e >= n with 8 < k <= 16: eight orders per octave, so
+    that panels of similar length share one cached rule."""
+    shift = max(0, (n - 1).bit_length() - 4)
+    return -(-n >> shift) << shift
+
+
+def _order_for(share):
+    """The smallest ladder order m >= MIN_PANEL_NODES whose band share
+    m - _margin(m) holds ``share``."""
+    m = _ladder(max(MIN_PANEL_NODES, share))
+    while m - _margin(m) < share:
+        m = _ladder(m + 1)
+    return m
+
+
 def _band_order(band, length):
-    """Power of two >= band * length / 2 + ORDER_MARGIN: the full-range order
-    for band = ell_max + 1/2 or max k.  A Legendre round trip has frequency
-    up to 2 band and needs a margin that grows like the cube root of the
-    order (38 nodes at 1024, 98 at 16384); 128 suffices up to MAX_ORDER."""
-    need = math.ceil(band * length / 2) + ORDER_MARGIN
-    if need > MAX_ORDER:
+    """Full-range order for band = ell_max + 1/2 or max k over ``length``:
+    the band share ceil(band * length / 2) plus :func:`_margin`, rounded up
+    the ladder of :func:`_ladder`."""
+    order = _order_for(math.ceil(band * length / 2))
+    if order > MAX_ORDER:
         raise ValueError(f"band {band:.6g} needs quadrature order > MAX_ORDER = {MAX_ORDER}")
-    return 1 << (need - 1).bit_length()
+    return order
 
 
 def panel_nodes(breakpoints, n_nodes, lo=0.0, hi=math.pi):
@@ -290,21 +325,22 @@ def panel_nodes(breakpoints, n_nodes, lo=0.0, hi=math.pi):
 
     The panels end at every breakpoint b and at its mirror image
     lo + hi - b.  ``n_nodes`` is the Gauss-Legendre order of a full-range
-    panel; a panel of length h gets its share ceil(n_nodes h / (hi - lo)),
-    rounded up to a power of two (so few orders are built and cached) and
-    kept within [MIN_PANEL_NODES, n_nodes].  Every panel so keeps at least
-    the full-range node density, and integrands smooth between cuts are
-    resolved to near machine precision.  Only the lower half is built:
+    panel, whose band share is n_nodes - _margin(n_nodes).  A panel of
+    length h gets its share of that band, ceil(band h / (hi - lo)), plus
+    its own margin, rounded up the ladder of :func:`_ladder` (so few
+    orders are built and cached) and kept within [MIN_PANEL_NODES,
+    n_nodes].  A short panel thus keeps the room its order needs, which a
+    plain length share would shrink with h.  Only the lower half is built:
     node N-1-i is exactly lo + hi - theta_i with the weight of node i, and
     a middle panel of odd order has its centre node at the midpoint, once.
     """
     n_nodes = int(n_nodes)
     if n_nodes < 1:
         raise ValueError("n_nodes must be at least 1")
+    band = n_nodes - _margin(n_nodes)
 
     def order(length):
-        share = math.ceil(n_nodes * length / (hi - lo))
-        return min(n_nodes, max(MIN_PANEL_NODES, 1 << (share - 1).bit_length()))
+        return min(n_nodes, _order_for(math.ceil(band * length / (hi - lo))))
 
     span = lo + hi
     mid = 0.5 * span
@@ -434,8 +470,8 @@ def legendre_coefficients(corr, ell_max=2000, breakpoints=None, n_nodes=None):
         Extra quadrature cut points in (0, pi); overrides the model's own.
     n_nodes : int, optional
         Gauss-Legendre order of a full-range panel; shorter panels get
-        their length share (see :func:`panel_nodes`).  Derived from
-        ``ell_max`` when omitted.
+        their length share of its band plus a margin (see
+        :func:`panel_nodes`).  Derived from ``ell_max`` when omitted.
 
     Returns
     -------
@@ -481,6 +517,15 @@ def correlation_from_spectrum(spectrum, theta):
 
     The spectrum must sit on the contiguous integer grid 0..ell_max; a
     wavenumber-side spectrum has no exact resummation and is rejected.
+
+    As P_ell(cos(pi - theta)) = (-1)^ell P_ell(cos theta), each angle is
+    folded to min(theta, pi - theta), folded angles within ``FOLD_ATOL``
+    of each other are merged, and the recurrence runs once on the merged
+    set with the even-ell and odd-ell sums E and O kept apart.  An angle
+    then reads E + O for theta <= pi/2 and E - O beyond, so a grid
+    mirror-symmetric about pi/2 costs half the rows; a centre angle at
+    pi/2 is its own mirror image and counts once.  An asymmetric grid
+    takes the same path at the cost of one row per angle.
     """
     if not isinstance(spectrum, PowerSpectrum):
         raise TypeError("expected a PowerSpectrum")
@@ -493,10 +538,20 @@ def correlation_from_spectrum(spectrum, theta):
     if np.any(np.diff(theta[order]) <= 0):
         raise ValueError("theta grid must not contain duplicates")
 
+    folded = np.minimum(theta, math.pi - theta)
+    by_fold = np.argsort(folded)
+    first = np.r_[True, np.diff(folded[by_fold]) > FOLD_ATOL]
+    node = np.empty(theta.size, dtype=int)  # the merged angle each angle reads
+    node[by_fold] = np.cumsum(first) - 1
+
     coeff = spectrum.values * (2.0 * spectrum.grid + 1.0) / (4.0 * math.pi)
-    acc = np.zeros_like(theta)
-    for ell, scale, rows in _legendre_rows(np.cos(theta), coeff.size - 1):
-        acc += (coeff[ell : ell + rows.shape[0]] * scale) @ rows
+    sums = np.zeros((2, np.count_nonzero(first)))
+    for ell, scale, rows in _legendre_rows(np.cos(folded[by_fold][first]), coeff.size - 1):
+        c = coeff[ell : ell + rows.shape[0]] * scale
+        sums[ell % 2] += c[::2] @ rows[::2]
+        sums[1 - ell % 2] += c[1::2] @ rows[1::2]
+    even, odd = sums[:, node]
+    acc = np.where(theta <= 0.5 * math.pi, even + odd, even - odd)
     return TabulatedCorrelation(theta[order], acc[order])
 
 

@@ -285,7 +285,7 @@ def test_out_dir_after_the_subcommand_wins(tmp_path):
     assert [p.name for p in (tmp_path / "b").iterdir()] == ["spectrum_c1_legendre.csv"]
 
 
-def test_usage_errors_exit_1(tmp_path):
+def test_usage_errors_exit_1(tmp_path, capsys):
     assert run("transform", "--model", "nope") == 1
     assert run("no-such-command") == 1
     assert run("--out-dir", tmp_path, "transform", "--mode", "resum",
@@ -315,6 +315,15 @@ def test_usage_errors_exit_1(tmp_path):
     assert run("--out-dir", tmp_path, "--config", tmp_path / "both.cfg", "mc") == 1
     # a smoothing window longer than 2 * size - 1 cannot be padded
     write_spectrum(tmp_path / "short.csv", PowerSpectrum(np.arange(16.0), 1.0 + np.arange(16.0) % 3))
+    # a reversed resum range would be written sorted under a manifest that
+    # names it reversed; it fails before the output directory is made
+    capsys.readouterr()
+    assert run("--out-dir", tmp_path / "reversed", "transform", "--mode", "resum",
+               "--input", tmp_path / "short.csv", "--theta-min", "90deg",
+               "--theta-max", "10deg") == 1
+    err = capsys.readouterr().err
+    assert "--theta-min" in err and "--theta-max" in err
+    assert not (tmp_path / "reversed").exists()
     assert run("--out-dir", tmp_path, "analyze", "--input", tmp_path / "short.csv",
                "--smoothing-window", "33") == 1
     # a prominence fraction outside [0, 1] (or NaN) is not a threshold

@@ -16,7 +16,6 @@ from corrpeaks.csvio import (
     CsvFormatError,
     read_config,
     read_correlation,
-    read_ensemble_stats,
     read_spectrum,
     write_correlation,
     write_ensemble_stats,
@@ -85,13 +84,20 @@ def test_ensemble_stats_round_trip(tmp_path):
     stats = run_ensemble(cfg)
     path = tmp_path / "stats.csv"
     write_ensemble_stats(path, stats, {"seed": 1})
-    theta, mean, rms, n_pairs = read_ensemble_stats(path)
-    npt.assert_allclose(theta, stats.theta, rtol=1e-11)
+    lines = path.read_text().splitlines()
+    header = lines.index("theta_deg,mean,rms,n_pairs")
+    assert all(line.startswith("#") for line in lines[:header])
+    rows = lines[header + 1 :]
+    theta, mean, rms, n_pairs = np.genfromtxt(rows, delimiter=",").T  # "" reads as NaN
+    npt.assert_allclose(np.radians(theta), stats.theta, rtol=1e-11)
     npt.assert_allclose(
         np.nan_to_num(mean, nan=-9.0), np.nan_to_num(stats.mean, nan=-9.0), rtol=1e-11, atol=1e-13
     )
+    npt.assert_allclose(
+        np.nan_to_num(rms, nan=-9.0), np.nan_to_num(stats.rms, nan=-9.0), rtol=1e-11, atol=1e-13
+    )
     npt.assert_array_equal(n_pairs, stats.n_pairs)
-    assert n_pairs.dtype.kind == "i"
+    assert all(row.rsplit(",", 1)[1].isdigit() for row in rows)  # integer pair counts
 
 
 def test_peak_report_header_carries_the_verdict(tmp_path):

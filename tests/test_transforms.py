@@ -179,7 +179,20 @@ def _nodes_used(ell_max, monkeypatch):
     return sizes[0]
 
 
-@pytest.mark.parametrize("order", [256, 1024, 2048, 4096, 8192, 16384])
+def _margin(order):
+    """The room the order rule promises an order-``order`` panel beyond its
+    band share, as documented: ceil(4.5 order^(1/3))."""
+    return math.ceil(4.5 * order ** (1.0 / 3.0))
+
+
+def _is_rung(order):
+    """True for an order k 2^e with 8 < k <= 16: eight orders per octave."""
+    shift = max(0, (order - 1).bit_length() - 4)
+    return order % (1 << shift) == 0
+
+
+@pytest.mark.parametrize("order", [256, 512, 896, 1024, 2048, 2304, 3328, 4096, 7680,
+                                   8192, 15360, 16384])
 def test_round_trip_just_below_each_order_switch(order, monkeypatch):
     # The largest ell that still gets ``order`` nodes is where the derived
     # order has the least room, so the margin of the rule is tested there.
@@ -189,7 +202,10 @@ def test_round_trip_just_below_each_order_switch(order, monkeypatch):
         lo, hi = (mid, hi) if _nodes_used(mid, monkeypatch) <= order else (lo, mid)
     ell_max = lo
     assert _nodes_used(ell_max, monkeypatch) == order
-    assert _nodes_used(ell_max + 1, monkeypatch) == 2 * order
+    # The next ell gets the next of eight orders per octave.
+    assert _nodes_used(ell_max + 1, monkeypatch) == order + (1 << (order.bit_length() - 4))
+    room = order - math.ceil((ell_max + 0.5) * math.pi / 2)
+    assert _margin(order) <= room < _margin(order) + 3
 
     rng = np.random.default_rng(order)
     values = rng.uniform(0.5, 1.5, ell_max + 1) * rng.choice([-1.0, 1.0], ell_max + 1)
@@ -203,6 +219,14 @@ def test_round_trip_just_below_each_order_switch(order, monkeypatch):
     back = legendre_coefficients(resummed, ell_max=ell_max, breakpoints=())
     err = np.max(np.abs(back.values - values) / np.abs(values))
     assert err < 1e-8, f"round trip error {err:.3e} at ell {ell_max}"
+
+
+def test_c1_at_ell_2000_samples_at_most_3456_nodes():
+    sizes = []
+    legendre_coefficients(lambda t: sizes.append(t.size) or np.exp(-t), ell_max=2000,
+                          breakpoints=default_model("c1").breakpoints())
+    assert sizes == [transforms._band_order(2000.5, math.pi)]
+    assert sizes[0] <= 3456
 
 
 def _legendre_reference(model, ells, order=128, max_width=math.radians(2.0)):
@@ -237,16 +261,23 @@ def test_default_order_resolves_the_ell_6000_tail(name):
 @pytest.mark.parametrize("n_nodes", [4096, 8192, 1000, 100, 10])
 @pytest.mark.parametrize("cuts_deg", [(), (1.03,), (2.0, 4.0), (2.29, 38.2), (0.01, 90.0, 179.9)])
 def test_panel_orders_keep_the_full_range_density(n_nodes, cuts_deg):
-    # The panels end at every breakpoint and at its mirror image.
+    # A full-range panel of n_nodes holds a band share of n_nodes - margin;
+    # every panel holds its length share of that band plus its own margin,
+    # in the fewest nodes of the eight orders per octave that do so.
     breakpoints = np.radians(cuts_deg)
     cuts = sorted({0.0, math.pi, *breakpoints, *(math.pi - breakpoints)})
     theta, w = panel_nodes(breakpoints, n_nodes)
+    band = n_nodes - _margin(n_nodes)
     for a, b in zip(cuts[:-1], cuts[1:]):
         inside = (theta > a) & (theta < b)
         order = int(inside.sum())
-        share = math.ceil(n_nodes * (b - a) / math.pi)
-        assert share <= order <= min(n_nodes, max(64, 2 * share))
-        assert order == n_nodes or order & (order - 1) == 0
+        share = math.ceil(band * (b - a) / math.pi)
+        assert min(64, n_nodes) <= order <= n_nodes
+        assert order - _margin(order) >= share
+        if order not in (64, n_nodes):
+            assert _is_rung(order)
+            below = order - (1 << ((order - 1).bit_length() - 4))
+            assert below - _margin(below) < share
         npt.assert_allclose(w[inside].sum(), b - a, rtol=1e-13)
     assert theta.size == w.size
 
@@ -430,9 +461,9 @@ def test_derived_order_is_capped(monkeypatch, tmp_path):
         return original(n)
 
     monkeypatch.setattr(transforms, "_newton_gauss_rule", guarded)
-    assert transforms._band_order(20779.0, math.pi) == transforms.MAX_ORDER == 32768
+    assert transforms._band_order(20769.0, math.pi) == transforms.MAX_ORDER == 32768
     with pytest.raises(ValueError, match="MAX_ORDER"):
-        transforms._band_order(20780.0, math.pi)
+        transforms._band_order(20770.0, math.pi)
     with pytest.raises(ValueError, match="MAX_ORDER"):
         legendre_coefficients(default_model("c2"), ell_max=30000)
     with pytest.raises(ValueError, match="MAX_ORDER"):
@@ -441,6 +472,62 @@ def test_derived_order_is_capped(monkeypatch, tmp_path):
         ft_1d(box_profile(1.0), [1e6])
     assert cli.main(["--out-dir", str(tmp_path), "transform", "--model", "c2",
                      "--mode", "smallangle", "--k-max", "1e6"]) == 1
+
+
+def _mirrored(half, centre):
+    """Angles in [0, pi/2) and their exact images pi - theta, with pi/2 once."""
+    return np.r_[half, [math.pi / 2] * centre, math.pi - half[::-1]]
+
+
+_FOLD_HALF = np.sort(np.random.default_rng(7).uniform(0.0, math.pi / 2, 40))
+_FOLD_GRIDS = {
+    "mirrored-odd": _mirrored(_FOLD_HALF, 1),
+    "mirrored-even": _mirrored(_FOLD_HALF, 0),
+    "linspace-721": np.linspace(0.0, math.pi, 721),
+    "linspace-64": np.linspace(0.0, math.pi, 64),
+    "asymmetric": np.sort(np.random.default_rng(8).uniform(0.0, math.pi, 57)),
+    "below-pi/2": np.linspace(0.01, 1.5, 50),
+    "both-ends": np.r_[0.0, 0.2, 1.0, 2.5, math.pi],
+}
+
+
+@pytest.mark.parametrize("grid", _FOLD_GRIDS)
+def test_folded_resummation_matches_a_per_angle_sum(grid):
+    # Odd multipoles carry the sign between theta and pi - theta, so the
+    # spectrum mixes signs.  A linspace matches its mirror image only to 1
+    # ulp of pi, the angle's own rounding, and C moves by |C'| ulp over
+    # that; a spectrum falling like 1/ell^2 keeps this below the tolerance.
+    theta = _FOLD_GRIDS[grid]
+    rng = np.random.default_rng(3)
+    ell = np.arange(301)
+    values = rng.uniform(0.5, 1.5, ell.size) * rng.choice([-1.0, 1.0], ell.size) / (1.0 + ell) ** 2
+    got = correlation_from_spectrum(PowerSpectrum(ell, values), rng.permutation(theta))
+    # Beyond pi/2, cos(theta) rounds next to -1 (an angle error of up to
+    # ulp / sin(theta)) and eval_legendre loses digits there, so the
+    # reference reads P_ell(cos theta) = (-1)^ell P_ell(cos(pi - theta)).
+    coeff = (2 * ell + 1) * values / FOUR_PI
+    expect = np.array([coeff @ eval_legendre(ell, math.cos(t)) if t <= math.pi / 2 else
+                       (coeff * (-1.0) ** ell) @ eval_legendre(ell, math.cos(math.pi - t))
+                       for t in np.sort(theta)])
+    npt.assert_array_equal(got.theta, np.sort(theta))
+    npt.assert_allclose(got.values, expect, rtol=0.0, atol=1e-13 * np.max(np.abs(expect)))
+
+
+@pytest.mark.parametrize("grid", ["mirrored-odd", "mirrored-even", "linspace-721",
+                                  "linspace-64", "asymmetric"])
+def test_symmetric_grids_run_the_recurrence_on_half_the_angles(grid, monkeypatch):
+    sizes = []
+    original = transforms._legendre_rows
+
+    def recording(x, ell_max):
+        sizes.append(x.size)
+        return original(x, ell_max)
+
+    monkeypatch.setattr(transforms, "_legendre_rows", recording)
+    theta = _FOLD_GRIDS[grid]
+    correlation_from_spectrum(PowerSpectrum(np.arange(5.0), np.ones(5)), theta)
+    # An asymmetric grid has no mirror pairs and keeps one row per angle.
+    assert sizes == [theta.size if grid == "asymmetric" else (theta.size + 1) // 2]
 
 
 def test_resum_rejects_non_multipole_grids():
