@@ -31,7 +31,6 @@ from .corr_models import (
     Toy2Uniform,
     Toy2Distance,
     default_model,
-    model_from_params,
 )
 from .peak_analysis import (
     PeakReport,
@@ -73,8 +72,7 @@ __all__ = [
     "legendre_coefficients", "correlation_from_spectrum", "small_angle_spectrum",
     "ft_1d", "spherical_box_ft",
     "box_profile", "triangle_profile", "quadratic_spline_profile",
-    "DoubleExp", "BrokenExp", "Toy2Uniform", "Toy2Distance",
-    "default_model", "model_from_params",
+    "DoubleExp", "BrokenExp", "Toy2Uniform", "Toy2Distance", "default_model",
     "PeakReport", "InsufficientPeaksError", "find_peaks", "quasi_period",
     "envelope_decay_exponent", "analyze_spectrum",
     "DiskProfile", "CenterCorrelation", "top_hat_disk", "exponential_disk",

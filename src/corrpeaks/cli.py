@@ -96,10 +96,6 @@ def _int_at_least(minimum):
 positive_int = _int_at_least(1)
 
 
-def _fmt_deg(rad):
-    return "%.12g" % math.degrees(rad)
-
-
 def _common_flags():
     """A parent parser holding the flags every position accepts, defaults suppressed.
 
@@ -140,19 +136,18 @@ def build_parser():
     src.add_argument("--input", type=Path, help="correlation or spectrum CSV")
     p.add_argument(
         "--mode",
-        choices=("legendre", "smallangle", "resum"),
+        choices=tuple(_TRANSFORM_MODES),
         default="legendre",
         help="legendre: C_ell; smallangle: flat-sky P(k); resum: spectrum -> C(theta)",
     )
-    p.add_argument("--ell-max", type=positive_int, default=2000)
-    p.add_argument("--k-min", type=float, default=2.0)
-    p.add_argument("--k-max", type=float, default=2000.0)
-    p.add_argument("--n-k", type=_int_at_least(2), default=1000)
-    p.add_argument("--theta-min", type=parse_angle, default=0.0, help="resum grid start")
-    p.add_argument(
-        "--theta-max", type=parse_angle, default=math.pi, help="resum grid end"
-    )
-    p.add_argument("--n-theta", type=positive_int, default=721, help="resum grid points")
+    # Defaults per mode live in _TRANSFORM_MODES, so a flag given is a flag seen.
+    p.add_argument("--ell-max", type=positive_int)
+    p.add_argument("--k-min", type=float)
+    p.add_argument("--k-max", type=float)
+    p.add_argument("--n-k", type=_int_at_least(2))
+    p.add_argument("--theta-min", type=parse_angle, help="resum grid start")
+    p.add_argument("--theta-max", type=parse_angle, help="resum grid end")
+    p.add_argument("--n-theta", type=positive_int, help="resum grid points")
     p.add_argument("--output", help="output file name override")
     p.set_defaults(func=cmd_transform)
 
@@ -193,7 +188,7 @@ def build_parser():
     p.add_argument("--points-per-disk", type=positive_int)
     p.add_argument("--patch-size", type=float)
     p.add_argument("--hard-core", action="store_true", default=None)
-    p.add_argument("--realizations", type=positive_int)
+    p.add_argument("--realizations", type=positive_int, dest="n_realizations")
     p.add_argument("--n-bins", type=positive_int)
     p.add_argument("--theta-max", type=parse_angle)
     p.add_argument("--output", help="output file name override")
@@ -231,6 +226,7 @@ def _emit(args, name, write, *payload, plot=None):
     With --gnuplot, ``plot = (columns, style, title)`` also writes a
     gnuplot stub named after the file.
     """
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     path = args.out_dir / name
     write(path, *payload)
     print(f"wrote {path}")
@@ -263,6 +259,45 @@ def _print_verdict(report):
     )
 
 
+# The settings each transform mode reads, with their defaults.
+_TRANSFORM_MODES = {
+    "legendre": {"ell_max": 2000},
+    "smallangle": {"k_min": 2.0, "k_max": 2000.0, "n_k": 1000},
+    "resum": {"theta_min": 0.0, "theta_max": math.pi, "n_theta": 721},
+}
+
+
+def _reject_foreign_flags(args, option, flags):
+    """Reject a flag given for a value of --``option`` other than the chosen
+    one; ``flags`` maps each value to the flags it reads."""
+    chosen = getattr(args, option)
+    for value, own in flags.items():
+        for flag in own:
+            if value != chosen and getattr(args, flag) is not None:
+                raise ValueError(f"--{flag.replace('_', '-')} applies to --{option} {value}")
+
+
+def _transform_settings(args):
+    """Default the settings --mode reads; a flag of another mode is an error."""
+    _reject_foreign_flags(args, "mode", _TRANSFORM_MODES)
+    for field, default in _TRANSFORM_MODES[args.mode].items():
+        if getattr(args, field) is None:
+            setattr(args, field, default)
+
+
+def _check_ranges(args):
+    """Every --X-min/--X-max pair that has both ends must not run backwards."""
+    values = vars(args)
+    for field in values:
+        if not field.endswith("_min"):
+            continue
+        stem = field[: -len("_min")]
+        lo, hi = values[field], values.get(stem + "_max")
+        if lo is not None and hi is not None and not lo <= hi:
+            flag = "--" + stem.replace("_", "-")
+            raise ValueError(f"{flag}-min must not exceed {flag}-max")
+
+
 def cmd_transform(args):
     if args.mode == "resum":
         if args.input is None:
@@ -273,8 +308,8 @@ def cmd_transform(args):
         name = args.output or f"correlation_{args.input.stem}.csv"
         manifest = _base_manifest(
             args, "transform", mode="resum", input=args.input.name,
-            theta_min_deg=_fmt_deg(args.theta_min),
-            theta_max_deg=_fmt_deg(args.theta_max), n_theta=args.n_theta,
+            theta_min_deg=math.degrees(args.theta_min),
+            theta_max_deg=math.degrees(args.theta_max), n_theta=args.n_theta,
         )
         _emit(args, name, write_correlation, tab, manifest,
               plot=("1:2", "lines", "resummed correlation"))
@@ -313,10 +348,10 @@ def cmd_toy1(args):
     tab = correlation_toy1(theta, profile, centers, args.n_disks)
     name = args.output or f"toy1_case_{args.case}.csv"
     manifest = _base_manifest(
-        args, "toy1", case=args.case, n_disks="%.12g" % args.n_disks,
-        radius_deg=_fmt_deg(args.radius),
-        theta_min_deg=_fmt_deg(args.theta_min),
-        theta_max_deg=_fmt_deg(args.theta_max), n_theta=args.n_theta,
+        args, "toy1", case=args.case, n_disks=args.n_disks,
+        radius_deg=math.degrees(args.radius),
+        theta_min_deg=math.degrees(args.theta_min),
+        theta_max_deg=math.degrees(args.theta_max), n_theta=args.n_theta,
     )
     _emit(args, name, write_correlation, tab, manifest,
           plot=("1:2", "lines", f"disk-field correlation, case {args.case}"))
@@ -345,10 +380,7 @@ def _toy2_model(args):
             f"config model {config['model']!r} does not match "
             f"--variant {args.variant} (expected toy2_{args.variant})"
         )
-    for variant, flags in _TOY2_FLAGS.items():
-        for flag in flags:
-            if variant != args.variant and getattr(args, flag) is not None:
-                raise ValueError(f"--{flag.replace('_', '-')} applies to --variant {variant}")
+    _reject_foreign_flags(args, "variant", _TOY2_FLAGS)
     reference = default_model(f"toy2-{args.variant}")
     values = {**_params_fields(type(reference), config),
               **_given(args, _TOY2_FLAGS[args.variant])}
@@ -382,8 +414,8 @@ def _boolean(text):
     return value in ("true", "yes", "on", "1")
 
 
-# DiskEnsembleConfig field -> (config key, type); radius_min and radius_max
-# give the radius as a range.
+# DiskEnsembleConfig field -> (config key, type), each field also the dest of
+# its flag; radius_min and radius_max give the radius as a range.
 _MC_KEYS = {
     "n_disks": ("n_disks", int),
     "radius": ("radius_deg", float),
@@ -396,14 +428,6 @@ _MC_KEYS = {
     "seed": ("seed", int),
     "n_bins": ("n_bins", int),
     "theta_max": ("theta_max_deg", float),
-}
-
-# mc flag -> field of _MC_KEYS
-_MC_FLAGS = {
-    "n_disks": "n_disks", "radius": "radius", "radius_min": "radius_min",
-    "radius_max": "radius_max", "points_per_disk": "points_per_disk",
-    "patch_size": "patch_size", "hard_core": "hard_core", "realizations": "n_realizations",
-    "seed": "seed", "n_bins": "n_bins", "theta_max": "theta_max",
 }
 
 
@@ -425,7 +449,7 @@ def _mc_config(args):
     config = _load_config(args)
     from_config = {field: _config_value(key, config[key], convert)
                    for field, (key, convert) in _MC_KEYS.items() if key in config}
-    from_flags = _given(args, _MC_FLAGS)
+    from_flags = _given(args, {field: field for field in _MC_KEYS})
     return DiskEnsembleConfig(**{
         **_radius_range(from_config, lambda field: _MC_KEYS[field][0]),
         **_radius_range(from_flags, lambda field: "--" + field.replace("_", "-")),
@@ -441,11 +465,12 @@ def cmd_mc(args):
         n_disks=config.n_disks,
         points_per_disk=config.points_per_disk,
         realizations=config.n_realizations,
-        patch_size="%.12g" % config.patch_size,
+        patch_size=config.patch_size,
         hard_core=str(config.hard_core).lower(),
-        radius_deg=_fmt_deg(lo) if lo == hi else f"{_fmt_deg(lo)}..{_fmt_deg(hi)}",
+        radius_deg=(math.degrees(lo) if lo == hi
+                    else "%.12g..%.12g" % (math.degrees(lo), math.degrees(hi))),
         n_bins=config.n_bins,
-        theta_max_deg=_fmt_deg(config.bin_edges[-1]),
+        theta_max_deg=math.degrees(config.bin_edges[-1]),
     )
     manifest["seed"] = config.seed
     _emit(args, args.output or "mc_stats.csv", write_ensemble_stats, stats, manifest,
@@ -463,7 +488,7 @@ def cmd_analyze(args):
     manifest = _base_manifest(
         args, "analyze", input=args.input.name,
         smoothing_window=args.smoothing_window,
-        prominence_frac="%.12g" % args.prominence_frac,
+        prominence_frac=args.prominence_frac,
     )
     stem = args.input.stem
     _emit(args, f"{stem}_peaks.csv", write_peak_report, report, manifest)
@@ -482,10 +507,9 @@ def main(argv=None):
     try:
         if args.config is not None and args.func not in (cmd_toy2, cmd_mc):
             raise ValueError(f"{args.command} reads no config file; drop --config")
-        resum = args.command == "transform" and args.mode == "resum"
-        if resum and not args.theta_min < args.theta_max:
-            raise ValueError("--theta-min must be below --theta-max")
-        args.out_dir.mkdir(parents=True, exist_ok=True)
+        if args.command == "transform":
+            _transform_settings(args)
+        _check_ranges(args)
         return args.func(args)
     except (CsvFormatError, ExtrapolationError, InsufficientPeaksError,
             RuntimeError, OSError, ArithmeticError) as exc:

@@ -21,7 +21,6 @@ __all__ = [
     "Toy2Uniform",
     "Toy2Distance",
     "default_model",
-    "model_from_params",
 ]
 
 
@@ -238,24 +237,12 @@ _DEFAULTS = {
     "toy2-distance": lambda: Toy2Distance(0.02, 1.0, 3.0, 50.0),
 }
 
-_ALIASES = {
-    "double_exp": "c1",
-    "broken_exp": "c2",
-    "uniform": "toy2-uniform",
-    "distance": "toy2-distance",
-    "toy2_uniform": "toy2-uniform",
-    "toy2_distance": "toy2-distance",
-}
-
-
 def default_model(name):
     """Look up a model with its reference parameters by short name.
 
-    Accepted names: c1, c2, toy2-uniform, toy2-distance (plus the
-    serialization spellings double_exp, broken_exp, ...).
+    Accepted names: c1, c2, toy2-uniform, toy2-distance.
     """
     key = name.strip().lower()
-    key = _ALIASES.get(key, key)
     try:
         return _DEFAULTS[key]()
     except KeyError:
@@ -281,23 +268,3 @@ def _params_fields(model_type, params):
     _, keys = _PARAMS[model_type]
     return {field: _config_value(key, params[key]) for field, key in keys if key in params}
 
-
-def model_from_params(params):
-    """Rebuild a model from the plain dict produced by ``to_params``.
-
-    Extra keys are ignored so a mixed config file can hold model and run
-    settings side by side; missing keys raise with the key name.
-    """
-    try:
-        kind = params["model"]
-    except KeyError:
-        raise ValueError("params must carry a 'model' key") from None
-    types = {name: model_type for model_type, (name, _) in _PARAMS.items()}
-    model_type = types.get(str(kind).strip().lower())
-    if model_type is None:
-        raise ValueError(f"unknown model kind {kind!r}")
-    fields = _params_fields(model_type, params)
-    for field, key in _PARAMS[model_type][1]:
-        if field not in fields:
-            raise ValueError(f"missing parameter {key!r} for model {kind}")
-    return model_type(**fields)

@@ -80,11 +80,10 @@ def _parse_float(token, path, lineno):
         ) from None
 
 
-def _read_columns(path, expected_headers):
-    """Read a CSV with one of the accepted header signatures.
+def _read_columns(path, expected):
+    """The data rows, as float lists, of a CSV whose header is ``expected``.
 
-    Returns (header fields, list of rows as float lists).  Raises
-    CsvFormatError with a line number on any structural problem.
+    Raises CsvFormatError with a line number on any structural problem.
     """
     rows = []
     header = None
@@ -92,10 +91,9 @@ def _read_columns(path, expected_headers):
         fields = [f.strip() for f in line.split(",")]
         if header is None:
             header = fields
-            if header not in expected_headers:
+            if header != expected:
                 raise CsvFormatError(
-                    f"{path}:{lineno}: unexpected header {header!r}; "
-                    f"expected one of {expected_headers}"
+                    f"{path}:{lineno}: unexpected header {header!r}; expected {expected}"
                 )
             continue
         if len(fields) != len(header):
@@ -107,35 +105,19 @@ def _read_columns(path, expected_headers):
         raise CsvFormatError(f"{path}: empty file (no header row)")
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
-    return header, rows
+    return rows
 
 
 def write_correlation(path, tab, manifest=None):
-    """Write a TabulatedCorrelation as theta_deg,value[,sigma]."""
-    if tab.sigma is None:
-        header = ["theta_deg", "value"]
-        rows = (
-            (_fmt(math.degrees(t)), _fmt(v))
-            for t, v in zip(tab.theta, tab.values)
-        )
-    else:
-        header = ["theta_deg", "value", "sigma"]
-        rows = (
-            (_fmt(math.degrees(t)), _fmt(v), _fmt(s))
-            for t, v, s in zip(tab.theta, tab.values, tab.sigma)
-        )
-    _write_table(path, header, rows, manifest)
+    """Write a TabulatedCorrelation as theta_deg,value."""
+    rows = ((_fmt(math.degrees(t)), _fmt(v)) for t, v in zip(tab.theta, tab.values))
+    _write_table(path, ["theta_deg", "value"], rows, manifest)
 
 
 def read_correlation(path):
-    header, rows = _read_columns(
-        path, [["theta_deg", "value"], ["theta_deg", "value", "sigma"]]
-    )
-    data = np.array(rows)
-    theta = np.radians(data[:, 0])
-    sigma = data[:, 2] if len(header) == 3 else None
+    data = np.array(_read_columns(path, ["theta_deg", "value"]))
     try:
-        return TabulatedCorrelation(theta, data[:, 1], sigma)
+        return TabulatedCorrelation(np.radians(data[:, 0]), data[:, 1])
     except ValueError as exc:
         raise CsvFormatError(f"{path}: {exc}") from None
 
@@ -147,8 +129,7 @@ def write_spectrum(path, spec, manifest=None):
 
 
 def read_spectrum(path):
-    _, rows = _read_columns(path, [["ell_or_k", "value"]])
-    data = np.array(rows)
+    data = np.array(_read_columns(path, ["ell_or_k", "value"]))
     try:
         return PowerSpectrum(data[:, 0], data[:, 1])
     except ValueError as exc:

@@ -169,19 +169,18 @@ def quasi_period(locations):
     return float(gaps.mean()), float(gaps.std())
 
 
-def envelope_decay_exponent(locations, heights, k_min=None):
+def envelope_decay_exponent(locations, heights):
     """Power-law exponent of the peak-height envelope.
 
     Least-squares slope of log(height) against log(location) over the
-    asymptotic window, which by default starts at ASYMPTOTIC_FACTOR times
-    the first peak location.  Returns (slope, standard error).
+    asymptotic window, which starts at ASYMPTOTIC_FACTOR times the first
+    peak location.  Returns (slope, standard error).
     """
     locations = np.asarray(locations, dtype=float)
     heights = np.asarray(heights, dtype=float)
     if locations.size == 0:
         raise InsufficientPeaksError("no peaks to fit")
-    if k_min is None:
-        k_min = ASYMPTOTIC_FACTOR * locations[0]
+    k_min = ASYMPTOTIC_FACTOR * locations[0]
     sel = locations >= k_min
     if sel.sum() < 4:
         raise InsufficientPeaksError(

@@ -82,15 +82,13 @@ class DiskProfile:
     treated as zero outside.  ``breakpoints`` lists the fractions of R in
     [0, 1) where the shape itself kinks, for quadrature splitting; 0 marks
     a cone at the center, as for ``CenterCorrelation``.  All profiles of
-    one shape share one overlap table, so a shape that stands for a family
-    should compare equal by value (as ``exponential_disk``'s does); every
-    other callable gets a table of its own.
+    one shape callable share one overlap table; every other callable gets
+    a table of its own.
     """
 
     shape: callable
     radius: float
     breakpoints: tuple = ()
-    name: str = "disk"
 
     def __post_init__(self):
         if not self.radius > 0:
@@ -125,7 +123,6 @@ class CenterCorrelation:
 
     omega: callable
     breakpoints: tuple = ()
-    name: str = "centers"
 
     def __post_init__(self):
         probe_at = np.linspace(0.0, math.pi, 33)
@@ -138,35 +135,26 @@ def _top_hat_shape(u):
     return np.ones_like(u)
 
 
-@dataclass(frozen=True)
-class _ExponentialShape:
-    """exp(-ratio u) on u = r/R: equal R/scale ratios give equal shapes."""
-
-    ratio: float
-
-    def __call__(self, u):
-        return np.exp(-self.ratio * u)
+def _exponential_shape(u):
+    return np.exp(-u)
 
 
 def top_hat_disk(radius):
     """Uniform disk: f = 1 inside."""
-    return DiskProfile(_top_hat_shape, float(radius), (), "top-hat")
+    return DiskProfile(_top_hat_shape, float(radius))
 
 
-def exponential_disk(radius, scale=None):
-    """Disk with f = exp(-r/scale), scale defaulting to the radius.
+def exponential_disk(radius):
+    """Disk with f = exp(-r/R), R the radius.
 
     Its cone at the center is declared as breakpoint 0.
     """
-    s = float(radius) if scale is None else float(scale)
-    if s <= 0:
-        raise ValueError("scale must be positive")
-    return DiskProfile(_ExponentialShape(float(radius) / s), float(radius), (0.0,), "exponential")
+    return DiskProfile(_exponential_shape, float(radius), (0.0,))
 
 
 def poisson_centers():
     """Uncorrelated centers: omega = 0."""
-    return CenterCorrelation(lambda th: np.zeros_like(th), (), "poisson")
+    return CenterCorrelation(np.zeros_like)
 
 
 def hard_core_centers(radius):
@@ -174,17 +162,15 @@ def hard_core_centers(radius):
     d = 2.0 * float(radius)
     if d <= 0:
         raise ValueError("radius must be positive")
-    return CenterCorrelation(
-        lambda th: np.where(th < d, -1.0, 0.0), (d,), "hard-core"
-    )
+    return CenterCorrelation(lambda th: np.where(th < d, -1.0, 0.0), (d,))
 
 
-def clustered_centers(scale, amplitude=2.0):
-    """Short-range clustered centers: omega = amplitude exp(-theta/scale) - 1."""
-    s, a = float(scale), float(amplitude)
-    if s <= 0 or a < 0:
-        raise ValueError("need scale > 0 and amplitude >= 0")
-    return CenterCorrelation(lambda th: a * np.exp(-th / s) - 1.0, (0.0,), "clustered")
+def clustered_centers(scale):
+    """Short-range clustered centers: omega = 2 exp(-theta/scale) - 1."""
+    s = float(scale)
+    if s <= 0:
+        raise ValueError("need scale > 0")
+    return CenterCorrelation(lambda th: 2.0 * np.exp(-th / s) - 1.0, (0.0,))
 
 
 def _mapped_gl(cuts, n):
@@ -304,7 +290,7 @@ def _unit_overlap(profile):
     key = (profile.shape, profile.breakpoints)
     if key in _OVERLAP_CACHE:
         return _OVERLAP_CACHE[key]
-    unit = DiskProfile(profile.shape, 1.0, profile.breakpoints, profile.name)
+    unit = DiskProfile(profile.shape, 1.0, profile.breakpoints)
     levels = (1.0, *profile.breakpoints)
     kinks = [c for a in levels for b in levels for c in (a + b, abs(a - b))]
     cuts = np.unique(np.clip([0.0, *kinks], 0.0, 2.0))

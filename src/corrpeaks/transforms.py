@@ -105,13 +105,10 @@ class TabulatedCorrelation:
     values : array
         C(theta) at the sample angles.  NaN marks a missing estimate
         (an empty estimator bin); transforms refuse tables with gaps.
-    sigma : array, optional
-        One-sigma uncertainty per sample, if known.
     """
 
     theta: np.ndarray
     values: np.ndarray
-    sigma: np.ndarray | None = None
 
     def __post_init__(self):
         theta = _as_float_array(self.theta, "theta")
@@ -126,13 +123,6 @@ class TabulatedCorrelation:
             raise ValueError("theta must lie in [0, pi]")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "values", values)
-        if self.sigma is not None:
-            sigma = _as_float_array(self.sigma, "sigma", allow_nan=True)
-            if sigma.shape != theta.shape:
-                raise ValueError("sigma must match theta in length")
-            if np.any(sigma < 0):
-                raise ValueError("sigma must be nonnegative")
-            object.__setattr__(self, "sigma", sigma)
 
     def __call__(self, theta):
         """Cubic-spline evaluation; raises ExtrapolationError off the grid."""
@@ -198,7 +188,6 @@ class Profile1D:
     fn: callable
     x_max: float
     breakpoints: tuple = ()
-    name: str = "profile"
 
     def __post_init__(self):
         if not self.x_max > 0:
@@ -571,7 +560,7 @@ def _kernel_sums(kernel, k_grid, x, weighted):
     return out
 
 
-def small_angle_spectrum(corr, k_grid, breakpoints=None):
+def small_angle_spectrum(corr, k_grid):
     """Flat-sky spectrum P(k) = 2 pi Integral C(theta) J_0(k theta) sin theta dtheta.
 
     Valid when C(theta) has support at small angles; k corresponds to
@@ -585,7 +574,7 @@ def small_angle_spectrum(corr, k_grid, breakpoints=None):
         raise ValueError("k_grid must not be empty or a single wavenumber: a spectrum needs two")
     if np.any(np.diff(k_grid) <= 0) or k_grid[0] < 0:
         raise ValueError("k_grid must be nonnegative and strictly increasing")
-    theta, f, base = _weighted_samples(corr, breakpoints, _band_order(k_grid[-1], math.pi))
+    theta, f, base = _weighted_samples(corr, None, _band_order(k_grid[-1], math.pi))
 
     tail = theta > SMALL_ANGLE_LIMIT
     peak = np.max(np.abs(f), initial=0.0)
@@ -651,26 +640,25 @@ def spherical_box_ft(k, radius, dim):
     return out[0] if scalar else out
 
 
-def box_profile(x_max, height=1.0):
-    """Top-hat profile: f = height on [0, x_max], zero outside (edge jump)."""
-    h = float(height)
-    return Profile1D(lambda x: np.full_like(x, h), float(x_max), (), "box")
+def box_profile(x_max):
+    """Top-hat profile: f = 1 on [0, x_max], zero outside (edge jump)."""
+    return Profile1D(np.ones_like, float(x_max))
 
 
-def triangle_profile(x_max, height=1.0):
-    """Linear ramp f = height (1 - x/x_max); continuous, kinked at the edge."""
-    xm, h = float(x_max), float(height)
-    return Profile1D(lambda x: h * (1.0 - x / xm), xm, (), "triangle")
+def triangle_profile(x_max):
+    """Linear ramp f = 1 - x/x_max; continuous, kinked at the edge."""
+    xm = float(x_max)
+    return Profile1D(lambda x: 1.0 - x / xm, xm)
 
 
-def quadratic_spline_profile(x_max, height=1.0):
+def quadratic_spline_profile(x_max):
     """Quadratic B-spline bump scaled so its support ends at x_max.
 
     Twice continuously differentiable everywhere except for jumps in the
     second derivative at the two knots; the transform therefore decays one
     power faster than the triangle's.
     """
-    xm, h = float(x_max), float(height)
+    xm = float(x_max)
     s = 2.0 * xm / 3.0  # knot spacing: support is 1.5 s
 
     def bump(x):
@@ -680,6 +668,6 @@ def quadratic_spline_profile(x_max, height=1.0):
         out[core] = 0.75 - t[core] ** 2
         wing = (t > 0.5) & (t <= 1.5)
         out[wing] = 0.5 * (1.5 - t[wing]) ** 2
-        return h * out / 0.75  # peak normalised to height
+        return out / 0.75  # peak normalised to 1
 
-    return Profile1D(bump, xm, (xm / 3.0,), "quadratic-spline")
+    return Profile1D(bump, xm, (xm / 3.0,))

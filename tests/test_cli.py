@@ -347,11 +347,58 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert not list((tmp_path / "toy2").glob("*"))
 
 
+def test_reversed_ranges_exit_1_naming_both_flags(tmp_path, capsys):
+    # resum's reversed range is checked in test_usage_errors_exit_1
+    out = tmp_path / "D"
+    for argv in (("toy1", "--case", "a", "--theta-min", "4deg", "--theta-max", "1deg"),
+                 ("transform", "--model", "c2", "--mode", "smallangle",
+                  "--k-min", "100", "--k-max", "10"),
+                 ("toy2", "--variant", "distance", "--distance-min", "50",
+                  "--distance-max", "3"),
+                 ("mc", "--n-disks", "10", "--radius-min", "2", "--radius-max", "1")):
+        capsys.readouterr()
+        assert run("--out-dir", out, *argv) == 1, argv
+        flags = [a for a in argv if str(a).endswith(("-min", "-max"))]
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in flags), err
+        assert not out.exists()
+    # an empty radius range is one radius, as before
+    assert run("--out-dir", out, "mc", "--n-disks", "10", "--points-per-disk", "4",
+               "--realizations", "1", "--n-bins", "8", "--radius-min", "1",
+               "--radius-max", "1") == 0
+    assert "# radius_deg = 1\n" in (out / "mc_stats.csv").read_text()
+
+
+def test_transform_rejects_flags_its_mode_does_not_read(tmp_path, capsys):
+    spectrum = tmp_path / "spec.csv"
+    write_spectrum(spectrum, PowerSpectrum(np.arange(40.0), 1.0 + np.arange(40.0) % 3))
+    out = tmp_path / "out"
+    for argv, flag, mode in (
+            (("--model", "c2", "--mode", "smallangle", "--ell-max", "7"), "--ell-max", "legendre"),
+            (("--model", "c2", "--k-max", "500"), "--k-max", "smallangle"),
+            (("--model", "c2", "--n-theta", "10"), "--n-theta", "resum"),
+            (("--input", spectrum, "--mode", "resum", "--n-k", "10"), "--n-k", "smallangle")):
+        capsys.readouterr()
+        assert run("--out-dir", out, "transform", *argv) == 1
+        assert f"{flag} applies to --mode {mode}" in capsys.readouterr().err
+    assert not out.exists()
+    # a mode's own flags, given at their defaults, write what the defaults write
+    for sub, flags in (("a", ()), ("b", ("--k-min", "2", "--k-max", "2000", "--n-k", "1000"))):
+        assert run("--out-dir", tmp_path / sub, "transform", "--model", "toy2-uniform",
+                   "--mode", "smallangle", *flags) == 0
+    name = "spectrum_toy2-uniform_smallangle.csv"
+    assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_data_errors_exit_2(tmp_path):
     assert run("--out-dir", tmp_path, "analyze", "--input",
                tmp_path / "missing.csv") == 2
     bad = tmp_path / "bad.csv"
     bad.write_text("wrong,header\n1,2\n")
+    assert run("--out-dir", tmp_path, "transform", "--input", bad,
+               "--mode", "legendre") == 2
+    # a correlation CSV has two columns
+    bad.write_text("theta_deg,value,sigma\n0,1,0.1\n180,0,0.1\n")
     assert run("--out-dir", tmp_path, "transform", "--input", bad,
                "--mode", "legendre") == 2
     # infeasible hard-core packing is a runtime failure, not usage

@@ -34,21 +34,11 @@ def test_correlation_round_trip(tmp_path):
     back = read_correlation(path)
     npt.assert_allclose(back.theta, tab.theta, rtol=1e-11)
     npt.assert_allclose(back.values, tab.values, rtol=1e-11)
-    assert back.sigma is None
 
     text = path.read_text()
     assert text.startswith("#")
     assert "# note = round trip\n" in text
     assert "theta_deg,value" in text
-
-
-def test_correlation_with_sigma_round_trip(tmp_path):
-    theta = np.linspace(0.01, 0.5, 12)
-    tab = TabulatedCorrelation(theta, np.exp(-theta), sigma=0.1 * np.exp(-theta))
-    path = tmp_path / "corr.csv"
-    write_correlation(path, tab)
-    back = read_correlation(path)
-    npt.assert_allclose(back.sigma, tab.sigma, rtol=1e-11)
 
 
 def test_nan_values_survive_as_blanks(tmp_path):

@@ -181,7 +181,7 @@ def test_profile_with_an_interior_kink():
     # f = 2 on [0, b] and 1 on (b, R] is the sum of two top hats, so its
     # overlap is a sum of lens areas and its mass is pi R^2 + pi b^2
     b = 0.4 * R
-    prof = DiskProfile(lambda u: np.where(u <= 0.4, 2.0, 1.0), R, (0.4,), "two-step")
+    prof = DiskProfile(lambda u: np.where(u <= 0.4, 2.0, 1.0), R, (0.4,))
     theta = np.linspace(0.0, 2.2 * R, 67)
     ref = (lens_area_unequal(theta, R, R) + 2 * lens_area_unequal(theta, R, b)
            + lens_area_unequal(theta, b, b))
@@ -230,7 +230,7 @@ def test_other_disk_term_of_no_angles_is_empty():
 
 
 def test_fully_anticorrelated_centers_kill_the_cross_term():
-    dead = CenterCorrelation(lambda t: np.full_like(t, -1.0), (), "empty")
+    dead = CenterCorrelation(lambda t: np.full_like(t, -1.0))
     theta = np.linspace(0.0, 4.0 * R, 9)
     npt.assert_array_equal(other_disk_integral(theta, top_hat_disk(R), dead, N_C), 0.0)
 
@@ -424,9 +424,9 @@ def test_profiles_of_one_shape_share_a_table(monkeypatch):
     cache = {}
     monkeypatch.setattr(toy_disks_analytic, "_OVERLAP_CACHE", cache)
     _tabulated_overlap(exponential_disk(R))
-    _tabulated_overlap(exponential_disk(3.0 * R, 3.0 * R))
+    _tabulated_overlap(exponential_disk(3.0 * R))
     assert len(cache) == 1
-    _tabulated_overlap(exponential_disk(R, 0.5 * R))
+    _tabulated_overlap(top_hat_disk(0.5 * R))
     assert len(cache) == 2
     # every other callable is a shape of its own
     _tabulated_overlap(DiskProfile(lambda u: np.exp(-u), R))
@@ -549,11 +549,11 @@ def test_profile_and_center_factories_validate():
     with pytest.raises(ValueError):
         top_hat_disk(-1.0)
     with pytest.raises(ValueError):
-        DiskProfile(lambda t: -np.ones_like(t), R, (), "negative")
+        DiskProfile(lambda t: -np.ones_like(t), R)  # negative
     with pytest.raises(ValueError):
-        DiskProfile(lambda t: np.ones_like(t), R, (1.5,), "kink past the edge")
+        DiskProfile(lambda t: np.ones_like(t), R, (1.5,))  # kink past the edge
     with pytest.raises(ValueError):
-        DiskProfile(lambda t: np.ones_like(t), R, (-0.1,), "kink before the center")
+        DiskProfile(lambda t: np.ones_like(t), R, (-0.1,))  # kink before the center
     with pytest.raises(ValueError):
-        CenterCorrelation(lambda t: np.full_like(t, -2.0), (), "subunitary")
+        CenterCorrelation(lambda t: np.full_like(t, -2.0))  # below -1
     assert clustered_centers(R).omega(np.array([0.0]))[0] == pytest.approx(1.0)
