@@ -147,7 +147,7 @@ def build_parser():
     p.add_argument("--n-k", type=_int_at_least(2))
     p.add_argument("--theta-min", type=parse_angle, help="resum grid start")
     p.add_argument("--theta-max", type=parse_angle, help="resum grid end")
-    p.add_argument("--n-theta", type=positive_int, help="resum grid points")
+    p.add_argument("--n-theta", type=_int_at_least(2), help="resum grid points")
     p.add_argument("--output", help="output file name override")
     p.set_defaults(func=cmd_transform)
 
@@ -159,7 +159,7 @@ def build_parser():
     p.add_argument("--radius", type=parse_angle, default=math.radians(1.0))
     p.add_argument("--theta-min", type=parse_angle, default=math.radians(0.05))
     p.add_argument("--theta-max", type=parse_angle, default=math.radians(4.0))
-    p.add_argument("--n-theta", type=positive_int, default=64)
+    p.add_argument("--n-theta", type=_int_at_least(2), default=64)
     p.add_argument("--output", help="output file name override")
     p.set_defaults(func=cmd_toy1)
 
@@ -177,7 +177,7 @@ def build_parser():
     p.add_argument("--distance-min", type=float)
     p.add_argument("--distance-max", type=float)
     p.add_argument("--ell-max", type=positive_int, default=2000)
-    p.add_argument("--n-theta", type=positive_int, default=512, help="correlation output grid")
+    p.add_argument("--n-theta", type=_int_at_least(2), default=512, help="correlation output grid")
     p.set_defaults(func=cmd_toy2)
 
     p = sub.add_parser("mc", parents=[common], help="Monte Carlo disk ensembles")
@@ -285,17 +285,36 @@ def _transform_settings(args):
             setattr(args, field, default)
 
 
+# What each grid's ends must be, by command and flag stem.
+_GRID_DOMAINS = {
+    ("transform", "theta"): (lambda v: 0.0 <= v <= math.pi, "within [0, 180deg]"),
+    ("transform", "k"): (lambda v: 0.0 <= v < math.inf, "finite and nonnegative"),
+    ("toy1", "theta"): (lambda v: 0.0 < v < math.inf, "finite and positive"),
+}
+
+
 def _check_ranges(args):
-    """Every --X-min/--X-max pair that has both ends must not run backwards."""
+    """Every --X-min/--X-max pair that has both ends must not run backwards;
+    a grid's ends must also lie in its domain and differ."""
     values = vars(args)
     for field in values:
         if not field.endswith("_min"):
             continue
         stem = field[: -len("_min")]
         lo, hi = values[field], values.get(stem + "_max")
-        if lo is not None and hi is not None and not lo <= hi:
-            flag = "--" + stem.replace("_", "-")
+        if lo is None or hi is None:
+            continue
+        flag = "--" + stem.replace("_", "-")
+        if not lo <= hi:
             raise ValueError(f"{flag}-min must not exceed {flag}-max")
+        if (args.command, stem) not in _GRID_DOMAINS:
+            continue
+        inside, domain = _GRID_DOMAINS[args.command, stem]
+        for end, value in (("min", lo), ("max", hi)):
+            if not inside(value):
+                raise ValueError(f"{flag}-{end} must be {domain}")
+        if lo == hi:
+            raise ValueError(f"{flag}-min must be below {flag}-max")
 
 
 def cmd_transform(args):

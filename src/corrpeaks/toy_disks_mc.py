@@ -8,25 +8,25 @@ edge to lose pairs at, RR up to L/2 is exactly the annulus area, so the
 estimator needs neither random catalogs nor an edge correction.
 
 Pairs are counted on a cell list ("gridlink", Sinha & Garrison, MNRAS
-491, 3022, 2020).  The points are sorted into a periodic grid of m x m
-cells, m = floor(2 L / theta_max) (less a 1e-9 relative slack, and at
-most sqrt(N)), so a cell's side exceeds theta_max / 2 and every pair
-within theta_max lies at most two cells apart on each axis.  Each point
-visits the half shell of 13 cell offsets: its own cell (later points
-only) and the 12 cells (ox, oy) with ox in 0..2, oy in -2..2 and ox > 0
-or oy > 0; the other half of the 5 x 5 neighbourhood is visited from the
-far side, so every pair is met once.  With m < 5 the shell would wrap
-onto itself, and when all pairs fit in one block a grid does not pay, so
-then the grid is a single cell and the candidates are all pairs i < j.
-The candidates are cut into blocks of at most ``PAIR_BLOCK`` pairs and
-counted in buffers allocated once per thread, next to the cell list's
-work arrays of 13 entries per point, so memory is O(N + PAIR_BLOCK), not
-O(pairs); of the arrays of 13 entries per point, a realization
-allocates only the mask and the index of the nonempty visits afresh.
-Each candidate's distance is the nearest-image one, per axis, then
-sqrt(dx^2 + dy^2); candidates beyond theta_max (1 + 1e-12) are dropped
-and the rest binned exactly as np.histogram bins them: [e_k, e_k+1), the
-last bin closed.
+491, 3022, 2020).  The points are sorted into mx periodic columns, mx =
+floor(L / theta_max) (less a 1e-9 relative slack, and at most sqrt(N)),
+so a column is wider than theta_max, and each column into rows of
+1/``ROWS_PER_REACH`` of its width; every pair within theta_max then lies
+in one column or in two neighbouring ones, at most ``ROWS_PER_REACH``
+rows apart.  A point's partners are two runs of consecutive sorted
+points: the later points of its own column in rows cy..cy+8, and the
+points of the next column cx+1 (mod mx) in rows cy-8..cy+8.  A run that
+crosses the patch edge continues at the other side as a second run.
+The pairs with the previous column are met from that column, so every
+pair is met once.  With mx < 3 the next column would also be the
+previous one, and when all pairs fit in one block a grid does not pay,
+so then there is one run per point: all pairs i < j.  The candidates
+are cut into blocks of at most ``PAIR_BLOCK`` pairs and counted in
+buffers allocated once per thread, so memory is O(N + PAIR_BLOCK), not
+O(pairs).  Each candidate's distance is the nearest-image one, per
+axis, then sqrt(dx^2 + dy^2); candidates beyond theta_max (1 + 1e-12)
+are dropped and the rest binned exactly as np.histogram bins them:
+[e_k, e_k+1), the last bin closed.
 
 Determinism contract: every realization i derives its generator from
 (seed, i), so ensembles are reproducible bit for bit regardless of how
@@ -67,10 +67,8 @@ CENTER_BLOCK = 64
 # Candidate pairs counted together; the counter's buffers are this long.
 PAIR_BLOCK = 1 << 15
 
-# The half shell of cell offsets each point visits; the first is its own cell.
-_HALF_SHELL = np.array(
-    [(0, 0)] + [(ox, oy) for ox in range(3) for oy in range(-2, 3) if ox > 0 or oy > 0]
-)
+# Rows per column width: a pair within theta_max is at most this many rows apart.
+ROWS_PER_REACH = 8
 
 
 class PackingError(RuntimeError):
@@ -285,11 +283,10 @@ def pair_count_baseline(n_points, edges, patch_size):
 
 
 class _PairBlock:
-    """Buffers reused by every count on sets of n points: the cell list's
-    work arrays, one entry per point and half-shell offset, and those for
-    counting up to ``size`` candidate pairs at a time."""
+    """Buffers for counting up to ``size`` candidate pairs at a time,
+    reused by every count on one thread."""
 
-    def __init__(self, size, n):
+    def __init__(self, size):
         self.step = np.arange(size)
         self.seg = np.empty(size, dtype=np.intp)
         self.j = np.empty(size, dtype=np.intp)
@@ -297,72 +294,62 @@ class _PairBlock:
         self.tmp = np.empty((size, 2))
         self.d2 = np.empty(size)
         self.near = np.empty(size, dtype=bool)
-        shell = _HALF_SHELL.shape[0] * n
-        self.work = np.empty((3, shell), dtype=np.intp)
-        self.visitors = np.empty((shell, 2))
 
     @classmethod
     def for_points(cls, n):
         """Buffers for point sets of n points: one block, or all their pairs if fewer."""
-        return cls(max(1, min(PAIR_BLOCK, n * (n - 1) // 2)), n)
+        return cls(max(1, min(PAIR_BLOCK, n * (n - 1) // 2)))
 
 
-def _candidate_segments(points, size, reach, block):
-    """The candidate pairs of a cell list, as runs of consecutive partners.
+def _candidate_segments(points, size, reach):
+    """The candidate pairs of a column grid, as runs of consecutive partners.
 
-    Returns the points sorted by cell and, for every visit of a point to
-    a nonempty cell offset, one segment: the visiting point, ``shift`` and
-    ``ends``.  The candidates form one stream; segment s holds stream
-    positions [ends[s-1], ends[s]), and position p pairs the segment's
-    point with sorted point p + shift[s].  The segments are views of the
-    work arrays of ``block``.
+    Returns the points sorted by column and row and, for every nonempty
+    run, one segment: the coordinates of the point whose run it is,
+    ``shift`` and ``ends``.  The candidates form one stream; segment s
+    holds stream positions [ends[s-1], ends[s]), and position p pairs the
+    segment's point with sorted point p + shift[s].
     """
     n = points.shape[0]
-    # The slack keeps the cell side above reach / 2 through rounding; the
-    # grid never has more cells than points.
-    m = min(int(2.0 * size / (reach * (1.0 + 1e-9))), math.isqrt(n))
-    if m < 5 or n * (n - 1) // 2 <= PAIR_BLOCK:
-        m = 1
-    cells = (points * (m / size)).astype(np.intp)
-    np.minimum(cells, m - 1, out=cells)
-    key = cells[:, 0] * m
-    key += cells[:, 1]
-    order = key.argsort(kind="stable")
-    cells = cells.take(order, axis=0)
-    points = points.take(order, axis=0)
-    start = key.take(order).searchsorted(np.arange(m * m + 1))
-
-    offsets = _HALF_SHELL if m > 1 else _HALF_SHELL[:1]
-    # Three work arrays of one entry per point and offset, reused in turn.
-    a, b, c = (w[: offsets.shape[0] * n].reshape(-1, n) for w in block.work)
-    # wrap[c + o + 2] is row (or column) c + o of the periodic grid.
-    wrap = np.arange(-2, m + 3) % m
-    np.add(cells[:, 0], offsets[:, :1] + 2, out=a)
-    cell = wrap.take(a, out=b, mode="clip")
-    cell *= m
-    np.add(cells[:, 1], offsets[:, 1:] + 2, out=a)
-    cell += wrap.take(a, out=c, mode="clip")
-    lo = start.take(cell, out=a, mode="clip")
-    lo[0] = np.arange(1, n + 1)  # own cell: later points only
-    cell += 1
-    length = start.take(cell, out=c, mode="clip")
-    length -= lo
+    # The slack keeps a column wider than reach through rounding; the grid
+    # never has more columns than sqrt(n).
+    mx = min(int(size / (reach * (1.0 + 1e-9))), math.isqrt(n))
+    if mx < 3 or n * (n - 1) // 2 <= PAIR_BLOCK:
+        lo, hi = np.arange(1, n + 1), n  # one run per point: all later points
+    else:
+        my = ROWS_PER_REACH * mx
+        cells = (points * (np.array([mx, my]) / size)).astype(np.intp)
+        np.minimum(cells, [mx - 1, my - 1], out=cells)
+        key = cells[:, 0] * my + cells[:, 1]
+        order = key.argsort(kind="stable")
+        points = points.take(order, axis=0)
+        key = key.take(order)
+        start = key.searchsorted(np.arange(mx * my + 1))
+        row = key % my
+        own = key - row  # the first key of each point's column
+        last = row + ROWS_PER_REACH + 1
+        # Rows [first, last) of the own column and of the next one, as the
+        # part inside the patch and the part that crosses its top or bottom
+        # edge, which continues my rows away at the other side.
+        other_side = np.where(last > my, my, -my)
+        runs = []
+        for col, first in ((own, row), ((own + my) % (mx * my), row - ROWS_PER_REACH)):
+            rows = np.array([first, last])
+            runs += [col + np.clip(rows, 0, my), col + np.clip(rows - other_side, 0, my)]
+        lo, hi = start.take(np.array(runs).transpose(1, 0, 2))
+        lo[0] = np.arange(1, n + 1)  # own column: later points only
+    length = (hi - lo).reshape(-1)
     visit = np.flatnonzero(length > 0)
-    a, b, c = a.reshape(-1), b.reshape(-1), c.reshape(-1)
-    count = visit.size
-    length = c.take(visit, out=b[:count], mode="clip")
-    shift = a.take(visit, out=c[:count], mode="clip")
-    ends = np.cumsum(length, out=a[:count])
+    length = length.take(visit)
+    ends = np.cumsum(length)
     # A segment's partners start at stream position ends - length.
-    shift -= np.subtract(ends, length, out=length)
-    visit %= n
-    visitors = points.take(visit, axis=0, out=block.visitors[:count], mode="clip")
-    return points, visitors, shift, ends
+    shift = lo.reshape(-1).take(visit) - (ends - length)
+    return points, points.take(visit % n, axis=0), shift, ends
 
 
 def _pair_counts(points, edges, size, block):
     """DD: pairs per bin of ``edges`` at nearest-image distance, counted on a cell list."""
-    points, visitors, shift, ends = _candidate_segments(points, size, edges[-1], block)
+    points, visitors, shift, ends = _candidate_segments(points, size, edges[-1])
     dd = np.zeros(edges.size - 1, dtype=np.intp)
     total = int(ends[-1]) if ends.size else 0
     limit = edges[-1] ** 2 * (1.0 + 1e-12)

@@ -369,6 +369,29 @@ def test_reversed_ranges_exit_1_naming_both_flags(tmp_path, capsys):
     assert "# radius_deg = 1\n" in (out / "mc_stats.csv").read_text()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("transform", "--mode", "resum", "--input", "SPECTRUM", "--theta-min", "10deg",
+      "--theta-max", "10deg"), "--theta-min"),
+    (("transform", "--mode", "resum", "--input", "SPECTRUM", "--theta-max", "200deg"),
+     "--theta-max"),
+    (("toy1", "--case", "a", "--theta-min", "0"), "--theta-min"),
+    (("transform", "--model", "c2", "--mode", "smallangle", "--k-min", "-5"), "--k-min"),
+    (("transform", "--mode", "resum", "--input", "SPECTRUM", "--n-theta", "1"), "--n-theta"),
+    (("toy1", "--case", "a", "--n-theta", "1"), "--n-theta"),
+    (("toy2", "--variant", "uniform", "--n-theta", "1"), "--n-theta"),
+])
+def test_invalid_grids_exit_1_naming_the_flag(tmp_path, capsys, argv, flag):
+    # ends in order can still make an invalid grid: equal ends, an end
+    # outside the grid's domain, or a grid of one point
+    spectrum = tmp_path / "spec.csv"
+    write_spectrum(spectrum, PowerSpectrum(np.arange(40.0), 1.0 + np.arange(40.0) % 3))
+    out = tmp_path / "D"
+    argv = [spectrum if a == "SPECTRUM" else a for a in argv]
+    assert run("--out-dir", out, *argv) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_transform_rejects_flags_its_mode_does_not_read(tmp_path, capsys):
     spectrum = tmp_path / "spec.csv"
     write_spectrum(spectrum, PowerSpectrum(np.arange(40.0), 1.0 + np.arange(40.0) % 3))

@@ -280,21 +280,29 @@ def oracle_points(kind, n, reach, rng):
         cfg = small_config(n_disks=n, radius=min(0.25 * reach, 0.01), patch_size=size,
                            hard_core=True)
         return sample_centers(cfg, rng)
-    # Coordinates on the cell boundaries of the grids the counter may
-    # pick (sides reach/2 and L/m), at 0 and at the last float below L.
-    m = int(2 * size / reach)
+    if kind == "corner":
+        # Within reach of the corner on both axes, so that runs cross both
+        # patch edges and a point's own column continues past the edge.
+        pts = rng.uniform(-reach, reach, (n, 2)) % size
+        pts[pts == size] = 0.0
+        return pts
+    # Coordinates on the lines of the grids the counter may pick: multiples
+    # of L/(8 mx) for mx columns as wide as reach or a hair wider, or capped
+    # at sqrt(n), and of reach/8; at 0 and at the last float below L.
+    lines = [np.arange(1, 8 * m) * (size / (8 * m))
+             for m in sorted({int(size / reach), int(size / reach) - 1, math.isqrt(n)}) if m > 0]
     coords = np.concatenate([
         [0.0, np.nextafter(size, 0.0)],
-        np.arange(1, 2 * m) * (0.5 * reach) % size,
-        np.arange(1, m) * (size / m),
+        np.arange(1, 8 * int(size / reach) + 1) * (reach / 8) % size,
+        *lines,
     ])
     corners = [[0.0, 0.0], [coords[1], coords[1]], [0.0, coords[1]], [coords[1], 0.0]]
     return np.concatenate([corners, rng.choice(coords, (n, 2))])[:n]
 
 
-@pytest.mark.parametrize("reach", [1e-4 * ORACLE_PATCH, ORACLE_PATCH / 5,
+@pytest.mark.parametrize("reach", [1e-4 * ORACLE_PATCH, ORACLE_PATCH / 5, ORACLE_PATCH / 3.5,
                                    2 * ORACLE_PATCH / 5, ORACLE_PATCH / 2])
-@pytest.mark.parametrize("kind", ["uniform", "clustered", "hard-core", "lattice"])
+@pytest.mark.parametrize("kind", ["uniform", "clustered", "hard-core", "lattice", "corner"])
 def test_pair_counts_match_brute_force_and_a_kd_tree(kind, reach):
     # every pair at nearest-image distance in [e_k, e_k+1), the last bin
     # closed, exactly as np.histogram bins the full pair list
@@ -327,7 +335,7 @@ def test_a_pair_at_the_last_edge_counts_even_if_its_square_rounds_past_it():
 @pytest.mark.parametrize("reach", [0.05, 0.45])
 def test_pair_counts_hold_when_blocks_cut_every_run_of_partners(monkeypatch, reach):
     # blocks of 97 candidates, far shorter than the runs of partners in
-    # a one-cell grid (reach 0.45) or a 38 x 38 grid (0.05)
+    # a single run per point (reach 0.45) or a grid of 19 columns (0.05)
     rng = np.random.default_rng(3)
     pts = rng.uniform(0.0, 1.0, (1500, 2))
     edges = np.linspace(0.0, reach, 9)
