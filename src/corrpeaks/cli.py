@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .corr_models import _config_value, _params_fields, default_model
+from .corr_models import Toy2Distance, Toy2Uniform, default_model
 from .csvio import (
     CsvFormatError,
     peak_summary,
@@ -383,7 +383,66 @@ def _given(args, flags):
             if getattr(args, flag) is not None}
 
 
-# toy2 flag -> model field, per variant; the config keys are the model's own.
+def _boolean(text):
+    value = text.strip().lower()
+    if value not in ("true", "false", "yes", "no", "on", "off", "1", "0"):
+        raise ValueError("expected true/false, yes/no, on/off or 1/0")
+    return value in ("true", "yes", "on", "1")
+
+
+# The config file format: settings type -> field -> (config key, parser).  A
+# key ending in "_deg" holds its angle field in degrees, every other key its
+# field as is.  mc's radius_min and radius_max give the radius as a range.
+_CONFIG = {
+    Toy2Uniform: {"r_min": ("R_min_deg", float), "r_max": ("R_max_deg", float)},
+    Toy2Distance: {"a0": ("A0", float), "length": ("L", float),
+                   "r_min": ("r_min", float), "r_max": ("r_max", float)},
+    DiskEnsembleConfig: {
+        "n_disks": ("n_disks", int),
+        "radius": ("radius_deg", float),
+        "radius_min": ("radius_min_deg", float),
+        "radius_max": ("radius_max_deg", float),
+        "points_per_disk": ("points_per_disk", int),
+        "patch_size": ("patch_size", float),
+        "hard_core": ("hard_core", _boolean),
+        "n_realizations": ("n_realizations", int),
+        "seed": ("seed", int),
+        "n_bins": ("n_bins", int),
+        "theta_max": ("theta_max_deg", float),
+    },
+}
+
+
+def _config_value(key, text, parse):
+    """One config value parsed by ``parse``, in radians if ``key`` ends in _deg.
+
+    A value that does not parse raises ValueError naming its key.
+    """
+    try:
+        value = parse(text)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config {key} = {text!r}: {exc}") from None
+    return math.radians(value) if key.endswith("_deg") else value
+
+
+def _config_fields(config, settings, command):
+    """The fields of ``settings`` that the config entries set, by field.
+
+    A key outside the row of ``settings`` raises ValueError naming the key
+    and ``command``, the command that reads the file.
+    """
+    table = {key: (field, parse) for field, (key, parse) in _CONFIG[settings].items()}
+    values = {}
+    for key, text in config.items():
+        if key not in table:
+            raise ValueError(f"{command} reads no config key {key!r}; "
+                             f"its keys are {', '.join(table)}")
+        field, parse = table[key]
+        values[field] = _config_value(key, text, parse)
+    return values
+
+
+# toy2 flag -> model field, per variant.
 _TOY2_FLAGS = {
     "uniform": {"r_min": "r_min", "r_max": "r_max"},
     "distance": {"a0": "a0", "length": "length", "distance_min": "r_min",
@@ -394,29 +453,34 @@ _TOY2_FLAGS = {
 def _toy2_model(args):
     """Layer the toy2 model from its reference model, then config file, then flags."""
     config = _load_config(args)
-    if "model" in config and config["model"].strip().lower() != f"toy2_{args.variant}":
+    kind = f"toy2_{args.variant}"
+    model = config.pop("model", kind)
+    if model.strip().lower() != kind:
         raise ValueError(
-            f"config model {config['model']!r} does not match "
-            f"--variant {args.variant} (expected toy2_{args.variant})"
+            f"config model {model!r} does not match "
+            f"--variant {args.variant} (expected {kind})"
         )
     _reject_foreign_flags(args, "variant", _TOY2_FLAGS)
     reference = default_model(f"toy2-{args.variant}")
-    values = {**_params_fields(type(reference), config),
+    values = {**_config_fields(config, type(reference), f"toy2 --variant {args.variant}"),
               **_given(args, _TOY2_FLAGS[args.variant])}
     return dataclasses.replace(reference, **values)
 
 
 def cmd_toy2(args):
     model = _toy2_model(args)
-    params = model.to_params()
     upper = min(max(model.breakpoints()) * 1.25, math.pi)
     theta = np.linspace(upper / args.n_theta, upper, args.n_theta)
     tab = TabulatedCorrelation(theta, model(theta))
     spec = legendre_coefficients(model, ell_max=args.ell_max)
     report = analyze_spectrum(spec)
 
-    manifest = _base_manifest(args, "toy2", **{k: params[k] for k in sorted(params)})
+    params = {}
+    for field, (key, _) in _CONFIG[type(model)].items():
+        value = getattr(model, field)
+        params[key] = math.degrees(value) if key.endswith("_deg") else value
     stem = f"toy2_{args.variant}"
+    manifest = _base_manifest(args, "toy2", model=stem, **params)
     _emit(args, f"{stem}.csv", write_correlation, tab, manifest)
     _emit(args, f"{stem}_spectrum.csv", write_spectrum, spec,
           {**manifest, "ell_max": args.ell_max},
@@ -424,30 +488,6 @@ def cmd_toy2(args):
     _emit(args, f"{stem}_peaks.csv", write_peak_report, report, manifest)
     _print_verdict(report)
     return 0
-
-
-def _boolean(text):
-    value = text.strip().lower()
-    if value not in ("true", "false", "yes", "no", "on", "off", "1", "0"):
-        raise ValueError("expected true/false, yes/no, on/off or 1/0")
-    return value in ("true", "yes", "on", "1")
-
-
-# DiskEnsembleConfig field -> (config key, type), each field also the dest of
-# its flag; radius_min and radius_max give the radius as a range.
-_MC_KEYS = {
-    "n_disks": ("n_disks", int),
-    "radius": ("radius_deg", float),
-    "radius_min": ("radius_min_deg", float),
-    "radius_max": ("radius_max_deg", float),
-    "points_per_disk": ("points_per_disk", int),
-    "patch_size": ("patch_size", float),
-    "hard_core": ("hard_core", _boolean),
-    "n_realizations": ("n_realizations", int),
-    "seed": ("seed", int),
-    "n_bins": ("n_bins", int),
-    "theta_max": ("theta_max_deg", float),
-}
 
 
 def _radius_range(values, name):
@@ -465,12 +505,11 @@ def _radius_range(values, name):
 
 def _mc_config(args):
     """Layer DiskEnsembleConfig from defaults, then config file, then flags."""
-    config = _load_config(args)
-    from_config = {field: _config_value(key, config[key], convert)
-                   for field, (key, convert) in _MC_KEYS.items() if key in config}
-    from_flags = _given(args, {field: field for field in _MC_KEYS})
+    table = _CONFIG[DiskEnsembleConfig]
+    from_config = _config_fields(_load_config(args), DiskEnsembleConfig, "mc")
+    from_flags = _given(args, {field: field for field in table})
     return DiskEnsembleConfig(**{
-        **_radius_range(from_config, lambda field: _MC_KEYS[field][0]),
+        **_radius_range(from_config, lambda field: table[field][0]),
         **_radius_range(from_flags, lambda field: "--" + field.replace("_", "-")),
     })
 

@@ -4,10 +4,8 @@ Four families: a smooth double exponential, a broken exponential with a
 kink angle theta_star, and two disk-population models (radii uniform in
 [R_min, R_max], and radii induced by a distance spread).  Every model
 reports the angles where some derivative jumps through ``breakpoints()``
-so the transform layer can split its quadrature there.
-
-All angles are radians internally; the serialization layer speaks
-degrees (keys ending in ``_deg``).
+so the transform layer can split its quadrature there.  All angles
+are radians.
 """
 
 import math
@@ -34,25 +32,12 @@ def _check_theta(theta):
 
 def _require_positive(**kwargs):
     for name, value in kwargs.items():
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
-
-
-class _Params:
-    """Serialization of a model through its row of ``_PARAMS``."""
-
-    def to_params(self):
-        """Plain dict of the model kind and every config key of the model."""
-        kind, keys = _PARAMS[type(self)]
-        params = {"model": kind}
-        for field, key in keys:
-            value = getattr(self, field)
-            params[key] = math.degrees(value) if key.endswith("_deg") else value
-        return params
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
-class DoubleExp(_Params):
+class DoubleExp:
     """C(theta) = a1 exp(-theta/s1) + a2 exp(-theta/s2); smooth everywhere."""
 
     a1: float
@@ -75,7 +60,7 @@ class DoubleExp(_Params):
 
 
 @dataclass(frozen=True)
-class BrokenExp(_Params):
+class BrokenExp:
     """Two exponentials glued at theta_star, one on each side.
 
     The value jump at theta_star is tiny for the default parameters but
@@ -108,7 +93,7 @@ class BrokenExp(_Params):
 
 
 @dataclass(frozen=True)
-class Toy2Uniform(_Params):
+class Toy2Uniform:
     """Correlation of uncorrelated disks with radii uniform in [r_min, r_max].
 
     Piecewise closed form (overlap kernel A = 1, h(x) = 1 - x/2):
@@ -152,7 +137,7 @@ class Toy2Uniform(_Params):
 
 
 @dataclass(frozen=True)
-class Toy2Distance(_Params):
+class Toy2Distance:
     """Disks of fixed physical size at distances uniform in [r_min, r_max].
 
     The projected radius of a disk at distance r is length/r, and the
@@ -210,19 +195,6 @@ class Toy2Distance(_Params):
         return out[0] if scalar else out
 
 
-# Config kind and (field, config key) pairs of each model, in field order.
-# A key ending in "_deg" holds its angle field in degrees; every other key
-# holds its field as is.
-_PARAMS = {
-    DoubleExp: ("double_exp", (("a1", "A11"), ("a2", "A12"),
-                               ("scale1", "theta11_deg"), ("scale2", "theta12_deg"))),
-    BrokenExp: ("broken_exp", (("a1", "A21"), ("a2", "A22"), ("scale1", "theta21_deg"),
-                               ("scale2", "theta22_deg"), ("theta_star", "theta_star_deg"))),
-    Toy2Uniform: ("toy2_uniform", (("r_min", "R_min_deg"), ("r_max", "R_max_deg"))),
-    Toy2Distance: ("toy2_distance", (("a0", "A0"), ("length", "L"),
-                                     ("r_min", "r_min"), ("r_max", "r_max"))),
-}
-
 # Reference parameter sets; angles quoted in degrees for legibility.
 _DEFAULTS = {
     "c1": lambda: DoubleExp(9744.0, 3000.0, math.radians(0.45), math.radians(13.0)),
@@ -249,22 +221,3 @@ def default_model(name):
         raise ValueError(
             f"unknown model {name!r}; choose from {sorted(_DEFAULTS)}"
         ) from None
-
-
-def _config_value(key, text, convert=float):
-    """One config value parsed by ``convert``, in radians if ``key`` ends in _deg.
-
-    A value that does not parse raises ValueError naming its key.
-    """
-    try:
-        value = convert(text)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"config {key} = {text!r}: {exc}") from None
-    return math.radians(value) if key.endswith("_deg") else value
-
-
-def _params_fields(model_type, params):
-    """Field values of ``model_type`` for those of its config keys in ``params``."""
-    _, keys = _PARAMS[model_type]
-    return {field: _config_value(key, params[key]) for field, key in keys if key in params}
-

@@ -91,8 +91,8 @@ class DiskProfile:
     breakpoints: tuple = ()
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
         object.__setattr__(self, "breakpoints", tuple(float(b) for b in self.breakpoints))
         bad = [b for b in self.breakpoints if not 0 <= b < 1]
         if bad:
@@ -160,16 +160,16 @@ def poisson_centers():
 def hard_core_centers(radius):
     """Centers forbidden within 2 radius of each other, uncorrelated beyond."""
     d = 2.0 * float(radius)
-    if d <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < d < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {radius}")
     return CenterCorrelation(lambda th: np.where(th < d, -1.0, 0.0), (d,))
 
 
 def clustered_centers(scale):
     """Short-range clustered centers: omega = 2 exp(-theta/scale) - 1."""
     s = float(scale)
-    if s <= 0:
-        raise ValueError("need scale > 0")
+    if not 0 < s < math.inf:
+        raise ValueError(f"scale must be finite and positive, got {scale}")
     return CenterCorrelation(lambda th: 2.0 * np.exp(-th / s) - 1.0, (0.0,))
 
 

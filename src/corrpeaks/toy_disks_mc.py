@@ -100,8 +100,8 @@ class DiskEnsembleConfig:
             raise ValueError("n_disks and points_per_disk must be >= 1")
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
-        if not self.patch_size > 0:
-            raise ValueError("patch_size must be positive")
+        if not 0 < self.patch_size < math.inf:
+            raise ValueError(f"patch_size must be finite and positive, got {self.patch_size}")
         if int(self.seed) != self.seed or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if self.n_bins < 1:

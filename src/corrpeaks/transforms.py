@@ -81,7 +81,8 @@ BLOCK_BYTES = 1 << 19
 
 
 class ExtrapolationError(ValueError):
-    """Raised when a tabulated function is needed outside its grid."""
+    """Raised when a tabulated function is needed where its table holds no
+    value: outside its grid, or anywhere once a sample is missing."""
 
 
 def _as_float_array(x, name, allow_nan=False):
@@ -367,7 +368,7 @@ def _sample_correlation(corr, theta):
     """Evaluate a model, callable, or tabulated correlation on quadrature nodes."""
     if isinstance(corr, TabulatedCorrelation):
         if np.any(np.isnan(corr.values)):
-            raise ValueError(
+            raise ExtrapolationError(
                 "correlation table has missing values; fill or drop them "
                 "before transforming"
             )

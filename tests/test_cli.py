@@ -1,5 +1,7 @@
 """End-to-end command-line checks: exit codes, files, determinism."""
 
+import argparse
+import dataclasses
 import math
 import re
 import shlex
@@ -9,7 +11,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from corrpeaks import PowerSpectrum, cli, default_model
+from corrpeaks import (
+    DiskEnsembleConfig,
+    PowerSpectrum,
+    Toy2Distance,
+    Toy2Uniform,
+    cli,
+    default_model,
+)
 from corrpeaks.csvio import read_config, read_correlation, read_spectrum, write_spectrum
 
 
@@ -233,6 +242,137 @@ def test_toy2_config_file_with_flag_override(tmp_path):
         assert f"# {line}\n" in text
 
 
+def test_toy2_manifest_reads_back_as_config(tmp_path):
+    # the model keys a toy2 run writes into its manifest, given back as a
+    # config file, reproduce the run byte for byte
+    for variant, flags in (("uniform", ("--r-min", "0.7deg", "--r-max", "1.8deg")),
+                           ("distance", ("--a0", "0.03", "--length", "2",
+                                         "--distance-min", "4", "--distance-max", "40"))):
+        argv = ("toy2", "--variant", variant, "--ell-max", "300")
+        stem = f"toy2_{variant}"
+        assert run("--out-dir", tmp_path / "flags", *argv, *flags) == 0
+        text = (tmp_path / "flags" / f"{stem}.csv").read_text()
+        manifest = dict(line[2:].split(" = ", 1) for line in text.splitlines()
+                        if line.startswith("# "))
+        cfg = tmp_path / f"{variant}.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in manifest.items()
+                               if key not in ("tool", "version", "command", "seed")))
+        assert run("--out-dir", tmp_path / "config", "--config", cfg, *argv) == 0
+        for name in (f"{stem}.csv", f"{stem}_spectrum.csv", f"{stem}_peaks.csv"):
+            assert ((tmp_path / "config" / name).read_bytes()
+                    == (tmp_path / "flags" / name).read_bytes()), name
+
+
+def test_config_keys_ending_in_deg_hold_degrees(tmp_path):
+    # a _deg key reads as the same angle flag in degrees; every other key
+    # reads as its flag's plain value
+    cases = {
+        "uniform": ("R_min_deg = 0.5\nR_max_deg = 1.5\n",
+                    ("toy2", "--variant", "uniform", "--ell-max", "300"),
+                    ("--r-min", f"{math.radians(0.5)!r}rad", "--r-max", "1.5deg")),
+        "distance": ("L = 2\nr_min = 4\n",
+                     ("toy2", "--variant", "distance", "--ell-max", "300"),
+                     ("--length", "2", "--distance-min", "4")),
+        "mc": ("radius_deg = 0.8\ntheta_max_deg = 3\npatch_size = 0.5\n",
+               ("mc", "--n-disks", "10", "--points-per-disk", "4", "--realizations", "2",
+                "--n-bins", "8"),
+               ("--radius", "0.8deg", "--theta-max", f"{math.radians(3.0)!r}rad",
+                "--patch-size", "0.5")),
+    }
+    for name, (text, argv, flags) in cases.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        assert run("--out-dir", tmp_path / name / "config", "--config", cfg, *argv) == 0
+        assert run("--out-dir", tmp_path / name / "flags", *argv, *flags) == 0
+        written = sorted(p.name for p in (tmp_path / name / "flags").iterdir())
+        for file in written:
+            assert ((tmp_path / name / "config" / file).read_bytes()
+                    == (tmp_path / name / "flags" / file).read_bytes()), file
+    text = (tmp_path / "uniform" / "config" / "toy2_uniform.csv").read_text()
+    assert "# R_min_deg = 0.5\n" in text and "# R_max_deg = 1.5\n" in text
+    assert "# radius_deg = 0.8\n" in (tmp_path / "mc" / "config" / "mc_stats.csv").read_text()
+
+
+def test_config_keys_are_pinned():
+    # the config file format: a key renamed here breaks every saved config
+    expect = {
+        Toy2Uniform: ["R_min_deg", "R_max_deg"],
+        Toy2Distance: ["A0", "L", "r_min", "r_max"],
+        DiskEnsembleConfig: ["n_disks", "radius_deg", "radius_min_deg", "radius_max_deg",
+                             "points_per_disk", "patch_size", "hard_core", "n_realizations",
+                             "seed", "n_bins", "theta_max_deg"],
+    }
+    assert {settings: [key for key, _ in table.values()]
+            for settings, table in cli._CONFIG.items()} == expect
+
+
+def test_config_table_matches_settings_and_flags():
+    # every table field is a field of its settings type, mc's radius range
+    # aside, and every toy2 and mc flag that sets a field has a table entry
+    for settings, table in cli._CONFIG.items():
+        fields = {field.name for field in dataclasses.fields(settings)}
+        if settings is DiskEnsembleConfig:
+            fields |= {"radius_min", "radius_max"}
+        assert set(table) <= fields, settings
+    commands = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    no_field = {"help", "config", "out_dir", "threads", "gnuplot", "output"}
+    mc_flags = {action.dest for action in commands["mc"]._actions} - no_field
+    assert mc_flags == set(cli._CONFIG[DiskEnsembleConfig])
+    toy2_flags = ({action.dest for action in commands["toy2"]._actions} - no_field
+                  - {"seed", "variant", "ell_max", "n_theta"})
+    assert toy2_flags == {flag for flags in cli._TOY2_FLAGS.values() for flag in flags}
+    for variant, flags in cli._TOY2_FLAGS.items():
+        settings = type(default_model(f"toy2-{variant}"))
+        assert set(flags.values()) == set(cli._CONFIG[settings]), variant
+
+
+def test_unknown_config_keys_exit_1_naming_them(tmp_path, capsys):
+    # a misspelt key, or a key of another command or variant, would
+    # otherwise run the defaults; one file cannot serve both toy2 and mc
+    mc = ("mc", "--n-disks", "10", "--points-per-disk", "4", "--realizations", "1",
+          "--n-bins", "8")
+    uniform = ("toy2", "--variant", "uniform", "--ell-max", "300")
+    distance = ("toy2", "--variant", "distance", "--ell-max", "300")
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    for argv, text, key in (
+            (mc, "n_disk = 5\nrealizations = 3\n", "n_disk"),
+            (mc, "R_max_deg = 2\n", "R_max_deg"),
+            (uniform, "R_min = 0.5\n", "R_min"),
+            (uniform, "model = toy2_uniform\nA0 = 0.5\n", "A0"),
+            (distance, "R_min_deg = 0.5\n", "R_min_deg"),
+            (distance, "seed = 3\n", "seed")):
+        cfg.write_text(text)
+        capsys.readouterr()
+        assert run("--out-dir", out, "--config", cfg, *argv) == 1, text
+        assert f"reads no config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, name", [
+    (("toy1", "--case", "a", "--radius", "inf"), None, "radius"),
+    (("toy1", "--case", "b", "--radius", "inf"), None, "radius"),
+    (("mc", "--n-disks", "10", "--patch-size", "inf"), None, "patch_size"),
+    (("mc", "--n-disks", "10"), "patch_size = inf\n", "patch_size"),
+    (("toy2", "--variant", "uniform", "--r-max", "inf"), None, "r_max"),
+    (("toy2", "--variant", "uniform"), "R_max_deg = inf\n", "r_max"),
+    (("toy2", "--variant", "distance", "--distance-max", "inf"), None, "r_max"),
+    (("toy2", "--variant", "distance", "--length", "nan"), None, "length"),
+], ids=["toy1-a", "toy1-b", "mc-flag", "mc-config", "uniform-flag", "uniform-config",
+        "distance-inf", "distance-nan"])
+def test_non_finite_parameters_exit_1_naming_them(tmp_path, capsys, argv, config, name):
+    # an infinite size would write empty values (toy1), fail inside the
+    # sampler (mc), or run or fail without naming a parameter (toy2)
+    out = tmp_path / "D"
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv = ("--config", tmp_path / "run.cfg", *argv)
+    assert run("--out-dir", out, *argv) == 1
+    assert f"{name} must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gnuplot_stub(tmp_path):
     # one stub per plotted file, naming it, with a single plot style
     write_spectrum(tmp_path / "in.csv", PowerSpectrum(np.arange(33.0), 1.0 + np.arange(33.0) % 3))
@@ -334,12 +474,18 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run("--out-dir", tmp_path, "toy1", "--case", "a", "--n-disks", "nan") == 1
     assert not (tmp_path / "toy1_case_a.csv").exists()
     # a toy2 config must hold the model kind that --variant names
-    for variant, name in (("uniform", "toy2-distance"), ("distance", "c2"), ("uniform", "c1")):
-        cfg = tmp_path / f"{name}.cfg"
-        params = default_model(name).to_params()
-        cfg.write_text("".join(f"{k} = {v}\n" for k, v in params.items()))
+    capsys.readouterr()
+    for variant, text in (
+            ("uniform", "model = toy2_distance\nA0 = 0.02\nL = 1\nr_min = 3\nr_max = 50\n"),
+            ("distance", "model = broken_exp\nA21 = 12000\nA22 = 3600\ntheta21_deg = 0.79\n"
+                         "theta22_deg = 11.45\ntheta_star_deg = 1.03\n"),
+            ("uniform", "model = double_exp\nA11 = 9744\nA12 = 3000\ntheta11_deg = 0.45\n"
+                        "theta12_deg = 13\n")):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(text)
         assert run("--out-dir", tmp_path / "toy2", "--config", cfg,
                    "toy2", "--variant", variant) == 1
+        assert "does not match --variant" in capsys.readouterr().err
     # a flag of the other variant is not silently dropped
     assert run("--out-dir", tmp_path / "toy2", "toy2", "--variant", "uniform", "--a0", "0.5") == 1
     assert run("--out-dir", tmp_path / "toy2", "toy2", "--variant", "distance",
@@ -413,7 +559,7 @@ def test_transform_rejects_flags_its_mode_does_not_read(tmp_path, capsys):
     assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_data_errors_exit_2(tmp_path):
+def test_data_errors_exit_2(tmp_path, capsys):
     assert run("--out-dir", tmp_path, "analyze", "--input",
                tmp_path / "missing.csv") == 2
     bad = tmp_path / "bad.csv"
@@ -424,6 +570,14 @@ def test_data_errors_exit_2(tmp_path):
     bad.write_text("theta_deg,value,sigma\n0,1,0.1\n180,0,0.1\n")
     assert run("--out-dir", tmp_path, "transform", "--input", bad,
                "--mode", "legendre") == 2
+    # so is a correlation table with a missing value, and nothing is written
+    bad.write_text("theta_deg,value\n0,1\n90,\n180,0\n")
+    for mode in ("legendre", "smallangle"):
+        capsys.readouterr()
+        assert run("--out-dir", tmp_path / "gaps", "transform", "--input", bad,
+                   "--mode", mode) == 2
+        assert "correlation table has missing values" in capsys.readouterr().err
+    assert not (tmp_path / "gaps").exists()
     # infeasible hard-core packing is a runtime failure, not usage
     assert run("--out-dir", tmp_path, "mc", "--n-disks", "4000",
                "--hard-core", "--patch-size", "1.0", "--realizations", "1") == 2

@@ -1,5 +1,6 @@
-"""Closed-form correlation models: branch values, joins, serialization."""
+"""Closed-form correlation models: branch values, joins, validation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from corrpeaks import (
     Toy2Uniform,
     default_model,
 )
-from corrpeaks.corr_models import _params_fields
 
 
 def test_double_exp_is_the_sum_of_its_parts():
@@ -211,36 +211,18 @@ def test_degenerate_parameters_rejected():
         BrokenExp(1.0, 1.0, 0.1, 0.2, 0.0)
 
 
-def test_serialization_round_trips():
-    # the params a model writes read back through its config keys;
-    # degree/radian conversion at the boundary may cost the last ulp,
-    # so compare behavior, not bit patterns
-    for name in ("c1", "c2", "toy2-uniform", "toy2-distance"):
-        m = default_model(name)
-        clone = type(m)(**_params_fields(type(m), m.to_params()))
-        assert type(clone) is type(m)
-        theta = np.linspace(0.0, 0.5, 50)
-        npt.assert_allclose(clone(theta), m(theta), rtol=1e-12, atol=1e-300)
-        npt.assert_allclose(clone.breakpoints(), m.breakpoints(), rtol=1e-12)
-
-
-def test_params_use_degree_units():
-    params = default_model("c2").to_params()
-    assert params["model"] == "broken_exp"
-    assert params["theta_star_deg"] == pytest.approx(1.03)
-    assert params["theta21_deg"] == pytest.approx(0.79)
-
-
-def test_params_keys_are_pinned():
-    # the config file format: a key renamed here breaks every saved config
-    expect = {
-        "c1": ["model", "A11", "A12", "theta11_deg", "theta12_deg"],
-        "c2": ["model", "A21", "A22", "theta21_deg", "theta22_deg", "theta_star_deg"],
-        "toy2-uniform": ["model", "R_min_deg", "R_max_deg"],
-        "toy2-distance": ["model", "A0", "L", "r_min", "r_max"],
-    }
-    for name, keys in expect.items():
-        assert list(default_model(name).to_params()) == keys, name
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("name, field", [
+    ("c1", "scale1"), ("c1", "scale2"), ("c2", "scale1"), ("c2", "scale2"),
+    ("c2", "theta_star"), ("toy2-uniform", "r_min"), ("toy2-uniform", "r_max"),
+    ("toy2-distance", "a0"), ("toy2-distance", "length"), ("toy2-distance", "r_min"),
+    ("toy2-distance", "r_max"),
+])
+def test_non_finite_parameters_are_rejected_by_name(name, field, bad):
+    # a positive parameter must also be finite: an infinite scale or radius
+    # would tabulate as inf or nan without a word
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        dataclasses.replace(default_model(name), **{field: bad})
 
 
 def test_unknown_model_names_are_rejected():

@@ -557,3 +557,15 @@ def test_profile_and_center_factories_validate():
     with pytest.raises(ValueError):
         CenterCorrelation(lambda t: np.full_like(t, -2.0))  # below -1
     assert clustered_centers(R).omega(np.array([0.0]))[0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_factories_reject_non_finite_sizes_by_name(bad):
+    # an infinite radius would tabulate the correlation as empty values
+    for make, name in ((top_hat_disk, "radius"), (exponential_disk, "radius"),
+                       (hard_core_centers, "radius"), (clustered_centers, "scale")):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            make(bad)
+    for case in "abcd":
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            preset_case(case, bad)

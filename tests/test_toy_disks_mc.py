@@ -480,3 +480,10 @@ def test_config_validation():
         small_config(n_realizations=0)
     with pytest.raises(ValueError):
         small_config(radius=(2.0 * R, 0.5 * R))
+
+
+@pytest.mark.parametrize("hard_core", [False, True])
+def test_config_rejects_an_infinite_patch_by_name(hard_core):
+    # an infinite patch would only fail later, inside the sampler
+    with pytest.raises(ValueError, match="patch_size must be finite and positive"):
+        small_config(patch_size=math.inf, hard_core=hard_core)
