@@ -191,8 +191,8 @@ class Profile1D:
     breakpoints: tuple = ()
 
     def __post_init__(self):
-        if not self.x_max > 0:
-            raise ValueError("x_max must be positive")
+        if not 0 < self.x_max < math.inf:
+            raise ValueError(f"x_max must be finite and positive, got {self.x_max}")
         bad = [b for b in self.breakpoints if not 0 < b < self.x_max]
         if bad:
             raise ValueError(f"breakpoints must lie inside (0, x_max): {bad}")
@@ -619,8 +619,8 @@ def spherical_box_ft(k, radius, dim):
     """
     if dim not in (1, 2, 3):
         raise ValueError("dim must be 1, 2, or 3")
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {radius}")
     scalar = np.ndim(k) == 0
     t = np.atleast_1d(np.asarray(k, dtype=float)) * radius
     if np.any(t < 0):

@@ -355,11 +355,17 @@ def test_unknown_config_keys_exit_1_naming_them(tmp_path, capsys):
     (("toy1", "--case", "b", "--radius", "inf"), None, "radius"),
     (("mc", "--n-disks", "10", "--patch-size", "inf"), None, "patch_size"),
     (("mc", "--n-disks", "10"), "patch_size = inf\n", "patch_size"),
+    (("mc", "--n-disks", "10", "--radius", "inf"), None, "radius"),
+    (("mc", "--n-disks", "10", "--radius", "nan"), None, "radius"),
+    (("mc", "--n-disks", "10", "--radius-min", "0.5deg", "--radius-max", "inf"), None,
+     "radius"),
+    (("mc", "--n-disks", "10"), "radius_min_deg = 0.5\nradius_max_deg = inf\n", "radius"),
     (("toy2", "--variant", "uniform", "--r-max", "inf"), None, "r_max"),
     (("toy2", "--variant", "uniform"), "R_max_deg = inf\n", "r_max"),
     (("toy2", "--variant", "distance", "--distance-max", "inf"), None, "r_max"),
     (("toy2", "--variant", "distance", "--length", "nan"), None, "length"),
-], ids=["toy1-a", "toy1-b", "mc-flag", "mc-config", "uniform-flag", "uniform-config",
+], ids=["toy1-a", "toy1-b", "mc-flag", "mc-config", "mc-radius-inf", "mc-radius-nan",
+        "mc-radius-max-flag", "mc-radius-max-config", "uniform-flag", "uniform-config",
         "distance-inf", "distance-nan"])
 def test_non_finite_parameters_exit_1_naming_them(tmp_path, capsys, argv, config, name):
     # an infinite size would write empty values (toy1), fail inside the

@@ -6,6 +6,7 @@ of the defining plane integrals, all computed in the tests themselves.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -453,13 +454,32 @@ def test_same_disk_term_is_read_from_the_table(case):
 
 
 def test_ring_batches_leave_the_overlap_unchanged(monkeypatch):
-    # every ring is integrated on its own, so the batch size bounds memory
-    # and nothing else
-    prof, _ = preset_case("d")
+    # every separation and every ring is integrated on its own, so the
+    # chunk and batch sizes bound memory and nothing else
+    prof, omega = preset_case("d")
     theta = np.linspace(0.0, 2.2 * R, 33)
     whole = same_disk_integral(theta, prof)
-    monkeypatch.setattr(toy_disks_analytic, "RING_BATCH", 7)
+    field = correlation_toy1(theta[1:], prof, omega).values  # builds the table
+    # one separation a chunk; three rings a batch same-disk (64 psi
+    # nodes a ring), four other-disk (48)
+    monkeypatch.setattr(toy_disks_analytic, "BLOCK_BYTES", 32 * N_PSI * 3)
     npt.assert_array_equal(same_disk_integral(theta, prof), whole)
+    npt.assert_array_equal(correlation_toy1(theta[1:], prof, omega).values, field)
+
+
+def test_toy1_memory_does_not_grow_with_the_angle_count():
+    # the (separation, radius) arrays of all 1024 angles, read 16 table
+    # values each, would take 78 MB at once
+    prof, omega = preset_case("d")
+    theta = np.linspace(math.radians(0.05), math.radians(4.0), 1024)
+    correlation_toy1(theta[:2], prof, omega)  # builds the table
+    tracemalloc.start()
+    try:
+        correlation_toy1(theta, prof, omega)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_exponential_overlap_is_cut_at_the_central_cone():

@@ -676,6 +676,14 @@ def test_box_transform_at_high_k():
     npt.assert_allclose(ft_1d(box_profile(1.0), k), 2.0 * np.sin(k) / k, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("make", [box_profile, triangle_profile, quadratic_spline_profile])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_profiles_reject_a_non_finite_support_by_name(make, bad):
+    # an infinite box passed, and ft_1d then failed converting inf to an order
+    with pytest.raises(ValueError, match="x_max must be finite and positive"):
+        make(bad)
+
+
 def test_triangle_transform_closed_form():
     prof = triangle_profile(1.0)
     k = np.linspace(0.5, 60.0, 300)
@@ -743,6 +751,9 @@ def test_spherical_box_rejects_bad_arguments():
         spherical_box_ft(1.0, -2.0, 2)
     with pytest.raises(ValueError):
         spherical_box_ft(-1.0, 1.0, 2)
+    for bad in (math.inf, math.nan):  # an infinite radius returned NaN
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            spherical_box_ft(1.0, bad, 2)
 
 
 def test_spherical_box_first_zeros():
