@@ -43,6 +43,7 @@ from .toy_disks_mc import DiskEnsembleConfig, PackingError, run_ensemble
 from .transforms import (
     ExtrapolationError,
     TabulatedCorrelation,
+    _require_positive,
     correlation_from_spectrum,
     legendre_coefficients,
     small_angle_spectrum,
@@ -462,8 +463,18 @@ def _toy2_model(args):
         )
     _reject_foreign_flags(args, "variant", _TOY2_FLAGS)
     reference = default_model(f"toy2-{args.variant}")
-    values = {**_config_fields(config, type(reference), f"toy2 --variant {args.variant}"),
-              **_given(args, _TOY2_FLAGS[args.variant])}
+    table = _CONFIG[type(reference)]
+    flags = _TOY2_FLAGS[args.variant]
+    from_config = _config_fields(config, type(reference), f"toy2 --variant {args.variant}")
+    from_flags = _given(args, flags)
+    # Every toy2 field must be finite and positive; a value is checked
+    # under the config key or flag that set it.
+    names = {**{field: table[field][0] for field in from_config},
+             **{field: "--" + flag.replace("_", "-") for flag, field in flags.items()
+                if field in from_flags}}
+    values = {**from_config, **from_flags}
+    for field, value in values.items():
+        _require_positive(**{names[field]: value})
     return dataclasses.replace(reference, **values)
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .transforms import _require_positive
+
 __all__ = [
     "DoubleExp",
     "BrokenExp",
@@ -28,12 +30,6 @@ def _check_theta(theta):
     if np.any(theta < 0):
         raise ValueError("theta must be nonnegative")
     return theta, scalar
-
-
-def _require_positive(**kwargs):
-    for name, value in kwargs.items():
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transforms import BLOCK_BYTES, TabulatedCorrelation, gauss_nodes
+from .transforms import BLOCK_BYTES, TabulatedCorrelation, _require_positive, gauss_nodes
 
 __all__ = [
     "DiskProfile",
@@ -91,8 +91,7 @@ class DiskProfile:
     breakpoints: tuple = ()
 
     def __post_init__(self):
-        if not 0 < self.radius < math.inf:
-            raise ValueError(f"radius must be finite and positive, got {self.radius}")
+        _require_positive(radius=self.radius)
         object.__setattr__(self, "breakpoints", tuple(float(b) for b in self.breakpoints))
         bad = [b for b in self.breakpoints if not 0 <= b < 1]
         if bad:
@@ -160,16 +159,14 @@ def poisson_centers():
 def hard_core_centers(radius):
     """Centers forbidden within 2 radius of each other, uncorrelated beyond."""
     d = 2.0 * float(radius)
-    if not 0 < d < math.inf:
-        raise ValueError(f"radius must be finite and positive, got {radius}")
+    _require_positive(radius=radius, diameter=d)
     return CenterCorrelation(lambda th: np.where(th < d, -1.0, 0.0), (d,))
 
 
 def clustered_centers(scale):
     """Short-range clustered centers: omega = 2 exp(-theta/scale) - 1."""
+    _require_positive(scale=scale)
     s = float(scale)
-    if not 0 < s < math.inf:
-        raise ValueError(f"scale must be finite and positive, got {scale}")
     return CenterCorrelation(lambda th: 2.0 * np.exp(-th / s) - 1.0, (0.0,))
 
 
@@ -298,8 +295,12 @@ def _unit_overlap(profile):
     kink, since A is weakly singular where a cone meets an edge.  The
     panels are also cut, ungraded, at 1 and at the profile kinks
     themselves.  A is evaluated once at each panel's ``N_A`` Gauss-Legendre
-    nodes, one panel per call of the module's ``same_disk_integral``,
-    which bounds memory.
+    nodes, one panel per call of the module's ``same_disk_integral``.
+    Working memory is bounded inside that function either way; the
+    per-panel calls keep the table's bits, since one call over all nodes
+    builds its cut columns over all of them and moves 59 of the
+    exponential table's 288 values by up to 2.2e-16 (the top hat's 160
+    stay identical).
     """
     key = (profile.shape, profile.breakpoints)
     if key in _OVERLAP_CACHE:
@@ -359,8 +360,7 @@ def other_disk_integral(theta, profile, centers, n_disks):
     convolved with the center pair density.  A is read from the profile
     shape's table on every angle's offsets.  Vectorised over ``theta``.
     """
-    if not 0 < n_disks < math.inf:
-        raise ValueError(f"n_disks must be finite and positive, got {n_disks}")
+    _require_positive(n_disks=n_disks)
     theta = _check_angles(theta)
     overlap = _tabulated_overlap(profile)
     # The clip absorbs roundoff below omega = -1.
@@ -395,8 +395,7 @@ def correlation_toy1(theta_grid, profile, omega, n_disks=DEFAULT_N_DISKS):
     if (not np.all((theta_grid > 0) & (theta_grid < math.inf))
             or np.any(np.diff(theta_grid) <= 0)):
         raise ValueError("theta grid must be finite, positive and strictly increasing")
-    if not 0 < n_disks < math.inf:
-        raise ValueError(f"n_disks must be finite and positive, got {n_disks}")
+    _require_positive(n_disks=n_disks)
 
     overlap, _, _ = _tabulated_overlap(profile)
     values = n_disks / (4.0 * math.pi) * overlap(theta_grid)

@@ -22,9 +22,11 @@ pair is met once.  With mx < 3 the next column would also be the
 previous one, and when all pairs fit in one block a grid does not pay,
 so then there is one run per point: all pairs i < j.  The candidates
 are cut into blocks of at most ``PAIR_BLOCK`` pairs and counted in
-buffers allocated once per thread, so memory is O(N + PAIR_BLOCK), not
-O(pairs): about 1 MB of buffers a thread, and a 2.1 MB allocation peak
-for a 2,560-point realization with 0.93M pairs within theta_max.  Each
+buffers allocated once per point set, so memory is O(N + PAIR_BLOCK),
+not O(pairs): about 1 MB of buffers a count, and a 2.1 MB allocation
+peak for a 2,560-point realization with 0.93M pairs within theta_max.
+An ensemble keeps only each realization's DD and turns the stacked
+counts into estimates once, against the RR they all share.  Each
 candidate's distance is the nearest-image one, per axis, then
 sqrt(dx^2 + dy^2); candidates beyond theta_max (1 + 1e-12) are dropped
 and the rest binned exactly as np.histogram bins them: [e_k, e_k+1),
@@ -36,13 +38,12 @@ many worker threads run them.
 """
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .transforms import BLOCK_BYTES, TabulatedCorrelation
+from .transforms import BLOCK_BYTES, TabulatedCorrelation, _require_positive
 
 __all__ = [
     "DiskEnsembleConfig",
@@ -103,16 +104,14 @@ class DiskEnsembleConfig:
             raise ValueError("n_disks and points_per_disk must be >= 1")
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
-        if not 0 < self.patch_size < math.inf:
-            raise ValueError(f"patch_size must be finite and positive, got {self.patch_size}")
+        _require_positive(patch_size=self.patch_size)
         if int(self.seed) != self.seed or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if self.n_bins < 1:
             raise ValueError("n_bins must be >= 1")
         lo, hi = self.radius_range
         for r in (lo, hi):
-            if not 0 < r < math.inf:
-                raise ValueError(f"radius must be finite and positive, got {r}")
+            _require_positive(radius=r)
         if lo > hi:
             raise ValueError("radius range must have r_min <= r_max")
         if hi >= self.patch_size / 2:
@@ -288,25 +287,6 @@ def pair_count_baseline(n_points, edges, patch_size):
     return n_pairs * math.pi * np.diff(edges**2) / patch_size**2
 
 
-class _PairBlock:
-    """Buffers for counting up to ``size`` candidate pairs at a time,
-    reused by every count on one thread."""
-
-    def __init__(self, size):
-        self.step = np.arange(size)
-        self.seg = np.empty(size, dtype=np.intp)
-        self.j = np.empty(size, dtype=np.intp)
-        self.d = np.empty((size, 2))
-        self.tmp = np.empty((size, 2))
-        self.d2 = np.empty(size)
-        self.near = np.empty(size, dtype=bool)
-
-    @classmethod
-    def for_points(cls, n):
-        """Buffers for point sets of n points: one block, or all their pairs if fewer."""
-        return cls(max(1, min(PAIR_BLOCK, n * (n - 1) // 2)))
-
-
 def _candidate_segments(points, size, reach):
     """The candidate pairs of a column grid, as runs of consecutive partners.
 
@@ -353,24 +333,28 @@ def _candidate_segments(points, size, reach):
     return points, points.take(visit % n, axis=0), shift, ends
 
 
-def _pair_counts(points, edges, size, block):
+def _pair_counts(points, edges, size):
     """DD: pairs per bin of ``edges`` at nearest-image distance, counted on a cell list."""
     points, visitors, shift, ends = _candidate_segments(points, size, edges[-1])
     dd = np.zeros(edges.size - 1, dtype=np.intp)
     total = int(ends[-1]) if ends.size else 0
     limit = edges[-1] ** 2 * (1.0 + 1e-12)
-    for b0 in range(0, total, block.step.size):
-        k = min(block.step.size, total - b0)
+    # One block's buffers, reused by every block of the call.
+    step = np.arange(max(1, min(PAIR_BLOCK, total)))
+    buffers = (np.empty(step.size, dtype=np.intp), np.empty(step.size, dtype=np.intp),
+               np.empty((step.size, 2)), np.empty((step.size, 2)),
+               np.empty(step.size), np.empty(step.size, dtype=bool))
+    for b0 in range(0, total, step.size):
+        k = min(step.size, total - b0)
         s0 = int(ends.searchsorted(b0, side="right"))
         s1 = int(ends.searchsorted(b0 + k, side="left")) + 1
-        seg, j, d, tmp = block.seg[:k], block.j[:k], block.d[:k], block.tmp[:k]
-        d2, near = block.d2[:k], block.near[:k]
+        seg, j, d, tmp, d2, near = (buf[:k] for buf in buffers)
         # Segment of every candidate in the block, counted from s0.
         seg.fill(0)
         seg[ends[s0:s1 - 1] - b0] = 1
         seg.cumsum(out=seg)
         (shift[s0:s1] + b0).take(seg, out=j, mode="clip")
-        j += block.step[:k]
+        j += step[:k]
         visitors[s0:s1].take(seg, axis=0, out=d, mode="clip")
         points.take(j, axis=0, out=tmp, mode="clip")
         d -= tmp
@@ -378,7 +362,7 @@ def _pair_counts(points, edges, size, block):
         d *= d
         np.add(d[:, 0], d[:, 1], out=d2)
         np.less_equal(d2, limit, out=near)
-        dist = block.d2[:np.count_nonzero(near)]
+        dist = d2[:np.count_nonzero(near)]
         d2.compress(near, out=dist)
         np.sqrt(dist, out=dist)
         # np.histogram's own binning: sort, then count up to each edge.
@@ -390,11 +374,8 @@ def _pair_counts(points, edges, size, block):
     return dd
 
 
-def _binned_estimate(points, edges, patch_size, block=None):
-    """Estimator core on an edges array: (DD/RR - 1 with NaN for empty bins, DD).
-
-    ``block`` holds buffers to reuse; without it, the call makes its own.
-    """
+def _checked_pair_counts(points, edges, patch_size):
+    """DD of a point set on an edges array, after checking both."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 2 or points.shape[1] != 2:
         raise ValueError("need at least two 2-D points")
@@ -402,13 +383,7 @@ def _binned_estimate(points, edges, patch_size, block=None):
         raise ValueError("edges must be increasing with at least one bin")
     if (points < 0).any() or (points >= patch_size).any():
         raise ValueError(f"points must lie in the periodic patch [0, {patch_size:g})")
-
-    rr = pair_count_baseline(points.shape[0], edges, patch_size)
-    if block is None:
-        block = _PairBlock.for_points(points.shape[0])
-    dd = _pair_counts(points, edges, patch_size, block)
-    xi = np.where(dd > 0, dd / rr - 1.0, np.nan)
-    return xi, dd
+    return _pair_counts(points, edges, patch_size)
 
 
 def estimate_correlation(points, edges, patch_size):
@@ -420,16 +395,10 @@ def estimate_correlation(points, edges, patch_size):
     least two points in [0, patch_size) and bins inside (0, patch_size/2).
     """
     edges = np.asarray(edges, dtype=float)
-    xi, _ = _binned_estimate(points, edges, patch_size)
+    dd = _checked_pair_counts(points, edges, patch_size)
+    rr = pair_count_baseline(len(points), edges, patch_size)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    return TabulatedCorrelation(centers, xi)
-
-
-def _one_realization(config, index, edges, block):
-    rng = realization_rng(config.seed, index)
-    centers = sample_centers(config, rng)
-    points = sample_disk_points(centers, config, rng)
-    return _binned_estimate(points, edges, config.patch_size, block)
+    return TabulatedCorrelation(centers, np.where(dd > 0, dd / rr - 1.0, np.nan))
 
 
 def run_ensemble(config, threads=1):
@@ -437,36 +406,35 @@ def run_ensemble(config, threads=1):
 
     Realizations are independent; with threads > 1 they run on a thread
     pool, and because each one seeds its own generator from (seed, index)
-    the result is identical to the serial order.  Each thread counts
-    pairs in one set of block buffers for the whole ensemble.
+    the result is identical to the serial order.  Each realization is
+    reduced to its pair counts DD; the estimates are derived from the
+    stacked counts and the one RR that every realization shares.
     """
     edges = config.bin_edges
-    local = threading.local()
 
-    def one(index):
-        if not hasattr(local, "block"):
-            local.block = _PairBlock.for_points(config.n_disks * config.points_per_disk)
-        return _one_realization(config, index, edges, local.block)
+    def pair_counts(index):
+        rng = realization_rng(config.seed, index)
+        points = sample_disk_points(sample_centers(config, rng), config, rng)
+        return _checked_pair_counts(points, edges, config.patch_size)
 
     indices = range(config.n_realizations)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, indices))
+            dd = np.array(list(pool.map(pair_counts, indices)))
     else:
-        results = [one(i) for i in indices]
+        dd = np.array([pair_counts(i) for i in indices])
 
-    xi = np.array([r[0] for r in results])
-    dd = np.array([r[1] for r in results])
+    rr = pair_count_baseline(config.n_disks * config.points_per_disk, edges, config.patch_size)
+    # A bin that one realization left empty is a measured DD = 0, so its
+    # estimate there is exactly -1.  Averaging only the realizations that
+    # caught pairs would bias sparse bins upward.
+    measured = dd / rr - 1.0
     n_pairs = dd.sum(axis=0)
-    # A bin that one realization left empty is a measured DD = 0, and RR is
-    # the same in every realization, so its estimate there is -1.  Averaging
-    # only the realizations that caught pairs would bias sparse bins upward.
-    measured = np.where(dd > 0, xi, -1.0)
     mean = measured.mean(axis=0)
     if config.n_realizations > 1:
         rms = measured.std(axis=0, ddof=1)
     else:
-        rms = np.full(xi.shape[1], np.nan)
+        rms = np.full(edges.size - 1, np.nan)
     mean[n_pairs == 0] = np.nan
     rms[n_pairs == 0] = np.nan
     return RealizationStats(
@@ -474,6 +442,6 @@ def run_ensemble(config, threads=1):
         mean=mean,
         rms=rms,
         n_pairs=n_pairs,
-        per_realization=xi,
+        per_realization=np.where(dd > 0, measured, np.nan),
         config=config,
     )

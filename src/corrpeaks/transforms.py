@@ -85,6 +85,13 @@ class ExtrapolationError(ValueError):
     value: outside its grid, or anywhere once a sample is missing."""
 
 
+def _require_positive(**kwargs):
+    """Raise ValueError naming the first keyword whose value is not finite and positive."""
+    for name, value in kwargs.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def _as_float_array(x, name, allow_nan=False):
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
@@ -191,8 +198,7 @@ class Profile1D:
     breakpoints: tuple = ()
 
     def __post_init__(self):
-        if not 0 < self.x_max < math.inf:
-            raise ValueError(f"x_max must be finite and positive, got {self.x_max}")
+        _require_positive(x_max=self.x_max)
         bad = [b for b in self.breakpoints if not 0 < b < self.x_max]
         if bad:
             raise ValueError(f"breakpoints must lie inside (0, x_max): {bad}")
@@ -619,8 +625,7 @@ def spherical_box_ft(k, radius, dim):
     """
     if dim not in (1, 2, 3):
         raise ValueError("dim must be 1, 2, or 3")
-    if not 0 < radius < math.inf:
-        raise ValueError(f"radius must be finite and positive, got {radius}")
+    _require_positive(radius=radius)
     scalar = np.ndim(k) == 0
     t = np.atleast_1d(np.asarray(k, dtype=float)) * radius
     if np.any(t < 0):

@@ -1,0 +1,31 @@
+"""What the traced benchmark run needs from the package.
+
+``perfbench/run.py --trace 1`` times the import of ``corrpeaks`` and of
+the scipy modules it reads by name, and wraps package functions where the
+package's own callers look them up.  These tests run the benchmark's own
+probes and target list, so they follow the benchmark when it changes.
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import layers  # noqa: E402
+
+
+def test_import_probes_find_every_module_they_time(monkeypatch):
+    # a module that `import corrpeaks` no longer imports is missing from
+    # the import-time table, and the probe fails on it
+    monkeypatch.setattr(layers, "REPEATS", 1)
+    out = layers.probes()
+    for metric in layers.IMPORTS:
+        seconds, unit = out[metric]
+        assert unit == "s" and seconds > 0, metric
+
+
+def test_patch_targets_are_module_functions():
+    # the tracer replaces each target with a wrapper, so each must be a
+    # callable attribute of its module, looked up there by its callers
+    for module, name in layers.patch_targets():
+        assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"

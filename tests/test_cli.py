@@ -360,16 +360,19 @@ def test_unknown_config_keys_exit_1_naming_them(tmp_path, capsys):
     (("mc", "--n-disks", "10", "--radius-min", "0.5deg", "--radius-max", "inf"), None,
      "radius"),
     (("mc", "--n-disks", "10"), "radius_min_deg = 0.5\nradius_max_deg = inf\n", "radius"),
-    (("toy2", "--variant", "uniform", "--r-max", "inf"), None, "r_max"),
-    (("toy2", "--variant", "uniform"), "R_max_deg = inf\n", "r_max"),
-    (("toy2", "--variant", "distance", "--distance-max", "inf"), None, "r_max"),
-    (("toy2", "--variant", "distance", "--length", "nan"), None, "length"),
+    (("toy2", "--variant", "uniform", "--r-max", "inf"), None, "--r-max"),
+    (("toy2", "--variant", "uniform"), "R_max_deg = inf\n", "R_max_deg"),
+    (("toy2", "--variant", "distance", "--distance-max", "inf"), None, "--distance-max"),
+    (("toy2", "--variant", "distance", "--length", "nan"), None, "--length"),
+    (("toy2", "--variant", "distance"), "r_max = inf\n", "r_max"),
+    (("toy2", "--variant", "distance"), "L = nan\n", "L"),
 ], ids=["toy1-a", "toy1-b", "mc-flag", "mc-config", "mc-radius-inf", "mc-radius-nan",
         "mc-radius-max-flag", "mc-radius-max-config", "uniform-flag", "uniform-config",
-        "distance-inf", "distance-nan"])
+        "distance-inf", "distance-nan", "distance-config-inf", "distance-config-nan"])
 def test_non_finite_parameters_exit_1_naming_them(tmp_path, capsys, argv, config, name):
     # an infinite size would write empty values (toy1), fail inside the
-    # sampler (mc), or run or fail without naming a parameter (toy2)
+    # sampler (mc), or run or fail without naming a parameter (toy2); toy2
+    # names the flag or config key that gave the value
     out = tmp_path / "D"
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)

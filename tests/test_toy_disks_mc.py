@@ -251,7 +251,7 @@ def test_pair_baseline_matches_brute_force_on_uniform_points():
 
 def pair_counts(points, edges, size):
     """DD as the estimator counts it."""
-    return toy_disks_mc._binned_estimate(points, np.asarray(edges, dtype=float), size)[1]
+    return toy_disks_mc._checked_pair_counts(points, np.asarray(edges, dtype=float), size)
 
 
 def kdtree_counts(points, edges, size):
@@ -440,6 +440,26 @@ def test_sparse_ensemble_has_a_mean_wherever_pairs_were_caught():
     npt.assert_array_equal(stats.mean[caught], per.mean(axis=0)[caught])
     npt.assert_array_equal(stats.rms[caught], per.std(axis=0, ddof=1)[caught])
     assert np.all(np.isnan(stats.mean[~caught])) and np.all(np.isnan(stats.rms[~caught]))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("cfg", [
+    DiskEnsembleConfig(n_disks=3, points_per_disk=2, n_realizations=20, n_bins=64),
+    DiskEnsembleConfig(n_realizations=6),
+], ids=["sparse", "default"])
+def test_each_realization_row_is_the_estimate_of_its_points(cfg, threads):
+    # the ensemble derives every row from its stacked pair counts and one
+    # RR; each row must still be that realization's own estimate, bit for
+    # bit, with NaN in the same bins
+    stats = run_ensemble(cfg, threads=threads)
+    assert stats.per_realization.shape == (cfg.n_realizations, cfg.n_bins)
+    for index, row in enumerate(stats.per_realization):
+        rng = realization_rng(cfg.seed, index)
+        points = sample_disk_points(sample_centers(cfg, rng), cfg, rng)
+        expected = estimate_correlation(points, cfg.bin_edges, cfg.patch_size).values
+        npt.assert_array_equal(row, expected, err_msg=f"realization {index}")
+    if cfg.n_disks == 3:
+        assert np.isnan(stats.per_realization).any()
 
 
 def test_rms_shrinks_like_root_n_realizations():
