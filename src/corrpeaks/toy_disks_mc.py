@@ -22,11 +22,11 @@ pair is met once.  With mx < 3 the next column would also be the
 previous one, and when all pairs fit in one block a grid does not pay,
 so then there is one run per point: all pairs i < j.  The candidates
 are cut into blocks of at most ``PAIR_BLOCK`` pairs and counted in
-buffers allocated once per point set, so memory is O(N + PAIR_BLOCK),
-not O(pairs): about 1 MB of buffers a count, and a 2.1 MB allocation
-peak for a 2,560-point realization with 0.93M pairs within theta_max.
-An ensemble keeps only each realization's DD and turns the stacked
-counts into estimates once, against the RR they all share.  Each
+about 1 MB of buffers, allocated once per call and reused by every point
+set it counts, so memory is O(N + PAIR_BLOCK), not O(pairs): a 2.1 MB
+allocation peak for a 2,560-point realization with 0.93M pairs within
+theta_max.  An ensemble keeps only each realization's DD and turns the
+stacked counts into estimates once, against the RR they all share.  Each
 candidate's distance is the nearest-image one, per axis, then
 sqrt(dx^2 + dy^2); candidates beyond theta_max (1 + 1e-12) are dropped
 and the rest binned exactly as np.histogram bins them: [e_k, e_k+1),
@@ -34,10 +34,13 @@ the last bin closed.
 
 Determinism contract: every realization i derives its generator from
 (seed, i), so ensembles are reproducible bit for bit regardless of how
-many worker threads run them.
+many threads run them.  ``run_ensemble`` splits the realizations into
+one contiguous chunk per thread, counted with one set of buffers, and
+the calling thread counts the first chunk.
 """
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -49,6 +52,7 @@ __all__ = [
     "DiskEnsembleConfig",
     "RealizationStats",
     "PackingError",
+    "realization_rng",
     "sample_centers",
     "sample_disk_points",
     "pair_count_baseline",
@@ -79,6 +83,13 @@ class PackingError(RuntimeError):
     """Raised when a hard-core configuration cannot be packed."""
 
 
+def _require_count(**kwargs):
+    """Raise ValueError naming the first keyword whose value is not an integer >= 1."""
+    for name, value in kwargs.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DiskEnsembleConfig:
     """Complete description of one MC ensemble.
@@ -100,15 +111,11 @@ class DiskEnsembleConfig:
     theta_max: float | None = None
 
     def __post_init__(self):
-        if self.n_disks < 1 or self.points_per_disk < 1:
-            raise ValueError("n_disks and points_per_disk must be >= 1")
-        if self.n_realizations < 1:
-            raise ValueError("n_realizations must be >= 1")
+        _require_count(n_disks=self.n_disks, points_per_disk=self.points_per_disk,
+                       n_realizations=self.n_realizations, n_bins=self.n_bins)
         _require_positive(patch_size=self.patch_size)
         if int(self.seed) != self.seed or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if self.n_bins < 1:
-            raise ValueError("n_bins must be >= 1")
         lo, hi = self.radius_range
         for r in (lo, hi):
             _require_positive(radius=r)
@@ -333,57 +340,48 @@ def _candidate_segments(points, size, reach):
     return points, points.take(visit % n, axis=0), shift, ends
 
 
-def _pair_counts(points, edges, size):
-    """DD: pairs per bin of ``edges`` at nearest-image distance, counted on a cell list."""
-    points, visitors, shift, ends = _candidate_segments(points, size, edges[-1])
-    dd = np.zeros(edges.size - 1, dtype=np.intp)
-    total = int(ends[-1]) if ends.size else 0
+def _pair_counts(point_sets, edges, size):
+    """DD of each point set in turn, one row per set: pairs per bin of ``edges``
+    at nearest-image distance, counted on a cell list in buffers allocated once."""
     limit = edges[-1] ** 2 * (1.0 + 1e-12)
-    # One block's buffers, reused by every block of the call.
-    step = np.arange(max(1, min(PAIR_BLOCK, total)))
+    step = np.arange(PAIR_BLOCK)
     buffers = (np.empty(step.size, dtype=np.intp), np.empty(step.size, dtype=np.intp),
                np.empty((step.size, 2)), np.empty((step.size, 2)),
                np.empty(step.size), np.empty(step.size, dtype=bool))
-    for b0 in range(0, total, step.size):
-        k = min(step.size, total - b0)
-        s0 = int(ends.searchsorted(b0, side="right"))
-        s1 = int(ends.searchsorted(b0 + k, side="left")) + 1
-        seg, j, d, tmp, d2, near = (buf[:k] for buf in buffers)
-        # Segment of every candidate in the block, counted from s0.
-        seg.fill(0)
-        seg[ends[s0:s1 - 1] - b0] = 1
-        seg.cumsum(out=seg)
-        (shift[s0:s1] + b0).take(seg, out=j, mode="clip")
-        j += step[:k]
-        visitors[s0:s1].take(seg, axis=0, out=d, mode="clip")
-        points.take(j, axis=0, out=tmp, mode="clip")
-        d -= tmp
-        _min_image(d, size, tmp)
-        d *= d
-        np.add(d[:, 0], d[:, 1], out=d2)
-        np.less_equal(d2, limit, out=near)
-        dist = d2[:np.count_nonzero(near)]
-        d2.compress(near, out=dist)
-        np.sqrt(dist, out=dist)
-        # np.histogram's own binning: sort, then count up to each edge.
-        dist.sort()
-        below = dist.searchsorted(edges, side="left")
-        below[-1] = dist.searchsorted(edges[-1], side="right")
-        dd += below[1:]
-        dd -= below[:-1]
-    return dd
-
-
-def _checked_pair_counts(points, edges, patch_size):
-    """DD of a point set on an edges array, after checking both."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] < 2 or points.shape[1] != 2:
-        raise ValueError("need at least two 2-D points")
-    if edges.ndim != 1 or edges.size < 2 or (edges[1:] <= edges[:-1]).any():
-        raise ValueError("edges must be increasing with at least one bin")
-    if (points < 0).any() or (points >= patch_size).any():
-        raise ValueError(f"points must lie in the periodic patch [0, {patch_size:g})")
-    return _pair_counts(points, edges, patch_size)
+    rows = []
+    for points in point_sets:
+        points, visitors, shift, ends = _candidate_segments(points, size, edges[-1])
+        dd = np.zeros(edges.size - 1, dtype=np.intp)
+        total = int(ends[-1]) if ends.size else 0
+        for b0 in range(0, total, step.size):
+            k = min(step.size, total - b0)
+            s0 = int(ends.searchsorted(b0, side="right"))
+            s1 = int(ends.searchsorted(b0 + k, side="left")) + 1
+            seg, j, d, tmp, d2, near = (buf[:k] for buf in buffers)
+            # Segment of every candidate in the block, counted from s0.
+            seg.fill(0)
+            seg[ends[s0:s1 - 1] - b0] = 1
+            seg.cumsum(out=seg)
+            (shift[s0:s1] + b0).take(seg, out=j, mode="clip")
+            j += step[:k]
+            visitors[s0:s1].take(seg, axis=0, out=d, mode="clip")
+            points.take(j, axis=0, out=tmp, mode="clip")
+            d -= tmp
+            _min_image(d, size, tmp)
+            d *= d
+            np.add(d[:, 0], d[:, 1], out=d2)
+            np.less_equal(d2, limit, out=near)
+            dist = d2[:np.count_nonzero(near)]
+            d2.compress(near, out=dist)
+            np.sqrt(dist, out=dist)
+            # np.histogram's own binning: sort, then count up to each edge.
+            dist.sort()
+            below = dist.searchsorted(edges, side="left")
+            below[-1] = dist.searchsorted(edges[-1], side="right")
+            dd += below[1:]
+            dd -= below[:-1]
+        rows.append(dd)
+    return rows
 
 
 def estimate_correlation(points, edges, patch_size):
@@ -392,11 +390,22 @@ def estimate_correlation(points, edges, patch_size):
     Pairs are counted at nearest-image separation against the exact
     uniform RR, so a uniform point set scatters around zero.  Bins that
     caught no pairs yield NaN (missing), never a fake zero.  Requires at
-    least two points in [0, patch_size) and bins inside (0, patch_size/2).
+    least two finite points in [0, patch_size) and finite bins inside
+    (0, patch_size/2); anything else is rejected before counting.
     """
+    _require_positive(patch_size=patch_size)
+    points = np.asarray(points, dtype=float)
     edges = np.asarray(edges, dtype=float)
-    dd = _checked_pair_counts(points, edges, patch_size)
+    if points.ndim != 2 or points.shape[0] < 2 or points.shape[1] != 2:
+        raise ValueError("need at least two 2-D points")
+    if (edges.ndim != 1 or edges.size < 2 or not np.isfinite(edges).all()
+            or (edges[1:] <= edges[:-1]).any()):
+        raise ValueError("edges must be finite and increasing with at least one bin")
+    # A NaN fails both comparisons, so it is rejected with the strays.
+    if not ((points >= 0) & (points < patch_size)).all():
+        raise ValueError(f"points must be finite and lie in the periodic patch [0, {patch_size:g})")
     rr = pair_count_baseline(len(points), edges, patch_size)
+    dd = _pair_counts([points], edges, patch_size)[0]
     centers = 0.5 * (edges[:-1] + edges[1:])
     return TabulatedCorrelation(centers, np.where(dd > 0, dd / rr - 1.0, np.nan))
 
@@ -404,25 +413,25 @@ def estimate_correlation(points, edges, patch_size):
 def run_ensemble(config, threads=1):
     """Run the configured ensemble and reduce it to per-bin statistics.
 
-    Realizations are independent; with threads > 1 they run on a thread
-    pool, and because each one seeds its own generator from (seed, index)
-    the result is identical to the serial order.  Each realization is
-    reduced to its pair counts DD; the estimates are derived from the
-    stacked counts and the one RR that every realization shares.
+    The realizations are split into ``threads`` contiguous chunks, each
+    drawn lazily and counted in one set of buffers; the caller counts the
+    first and threads - 1 workers the rest, so at threads=1 no thread
+    starts.  Each realization seeds its own generator from (seed, index),
+    so the split never shows in the result.  The estimates are derived from
+    the stacked pair counts DD and the one RR that every realization shares.
     """
+    _require_count(threads=threads)
     edges = config.bin_edges
 
-    def pair_counts(index):
-        rng = realization_rng(config.seed, index)
-        points = sample_disk_points(sample_centers(config, rng), config, rng)
-        return _checked_pair_counts(points, edges, config.patch_size)
+    def pair_counts(chunk):
+        rngs = (realization_rng(config.seed, index) for index in chunk)
+        points = (sample_disk_points(sample_centers(config, rng), config, rng) for rng in rngs)
+        return _pair_counts(points, edges, config.patch_size)
 
-    indices = range(config.n_realizations)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            dd = np.array(list(pool.map(pair_counts, indices)))
-    else:
-        dd = np.array([pair_counts(i) for i in indices])
+    first, *rest = np.array_split(np.arange(config.n_realizations), threads)
+    with ThreadPoolExecutor(max(1, threads - 1)) as pool:
+        others = [pool.submit(pair_counts, chunk) for chunk in rest]
+        dd = np.array(pair_counts(first) + [row for f in others for row in f.result()])
 
     rr = pair_count_baseline(config.n_disks * config.points_per_disk, edges, config.patch_size)
     # A bin that one realization left empty is a measured DD = 0, so its

@@ -9,9 +9,12 @@ probes and target list, so they follow the benchmark when it changes.
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import layers  # noqa: E402
+from tracing import Tracer, named  # noqa: E402
 
 
 def test_import_probes_find_every_module_they_time(monkeypatch):
@@ -29,3 +32,18 @@ def test_patch_targets_are_module_functions():
     # callable attribute of its module, looked up there by its callers
     for module, name in layers.patch_targets():
         assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ensemble_draws_through_the_patched_samplers(threads):
+    # the traced disks run times sample_centers and sample_disk_points by
+    # their spans; an ensemble that reached the samplers some other way
+    # would leave those per-layer metrics empty
+    from corrpeaks import DiskEnsembleConfig, run_ensemble
+
+    cfg = DiskEnsembleConfig(n_disks=6, points_per_disk=4, n_realizations=5, patch_size=0.5)
+    tracer = Tracer(enabled=True)
+    with tracer.patched(layers.patch_targets()):
+        run_ensemble(cfg, threads=threads)
+    for name in ("toy_disks_mc.sample_centers", "toy_disks_mc.sample_disk_points"):
+        assert len(named(tracer.spans, name)) == cfg.n_realizations, name

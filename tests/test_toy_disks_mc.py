@@ -1,6 +1,7 @@
 """Monte Carlo disk fields: determinism, sampling laws, estimator checks."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -75,12 +76,31 @@ def test_rerun_is_bit_identical():
     npt.assert_array_equal(a.n_pairs, b.n_pairs)
 
 
-def test_thread_count_never_shows_in_results():
-    cfg = small_config()
+@pytest.mark.parametrize("threads", [2, 3, 8])
+def test_thread_count_never_shows_in_results(threads):
+    # 5 realizations: chunks of 3 and 2, of 2, 2 and 1, or five of one and
+    # three empty ones
+    cfg = small_config(n_realizations=5)
     serial = run_ensemble(cfg, threads=1)
-    parallel = run_ensemble(cfg, threads=4)
-    npt.assert_array_equal(serial.mean, parallel.mean)
-    npt.assert_array_equal(serial.per_realization, parallel.per_realization)
+    parallel = run_ensemble(cfg, threads=threads)
+    for field in ("theta_edges", "mean", "rms", "n_pairs", "per_realization"):
+        npt.assert_array_equal(getattr(serial, field), getattr(parallel, field), err_msg=field)
+    assert parallel.config == cfg
+
+
+def test_one_thread_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("run_ensemble started a thread at threads=1")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    stats = run_ensemble(small_config(n_realizations=3), threads=1)
+    assert stats.per_realization.shape == (3, 24)
+
+
+@pytest.mark.parametrize("threads", [0, -2, 2.5, True, None])
+def test_run_ensemble_rejects_a_thread_count_that_is_not_a_positive_integer(threads):
+    with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+        run_ensemble(small_config(n_realizations=2), threads=threads)
 
 
 def test_seed_changes_results():
@@ -251,7 +271,7 @@ def test_pair_baseline_matches_brute_force_on_uniform_points():
 
 def pair_counts(points, edges, size):
     """DD as the estimator counts it."""
-    return toy_disks_mc._checked_pair_counts(points, np.asarray(edges, dtype=float), size)
+    return toy_disks_mc._pair_counts([points], np.asarray(edges, dtype=float), size)[0]
 
 
 def kdtree_counts(points, edges, size):
@@ -344,6 +364,20 @@ def test_pair_counts_hold_when_blocks_cut_every_run_of_partners(monkeypatch, rea
     npt.assert_array_equal(pair_counts(pts, edges, 1.0), expected)
 
 
+def test_reused_buffers_carry_nothing_from_one_point_set_to_the_next(monkeypatch):
+    # blocks of 97 candidates: the sets below end mid-block, and a large set
+    # is followed by smaller ones, so a stale tail would show
+    monkeypatch.setattr(toy_disks_mc, "PAIR_BLOCK", 97)
+    rng = np.random.default_rng(11)
+    sets = [rng.uniform(0.0, 1.0, (n, 2)) for n in (300, 2, 40, 7, 300, 13)]
+    edges = np.linspace(0.0, 0.2, 11)
+    rows = toy_disks_mc._pair_counts(sets, edges, 1.0)
+    assert len(rows) == len(sets)
+    for pts, row in zip(sets, rows):
+        npt.assert_array_equal(row, toy_disks_mc._pair_counts([pts], edges, 1.0)[0])
+    assert toy_disks_mc._pair_counts([], edges, 1.0) == []
+
+
 def test_pair_counter_memory_does_not_grow_with_the_pair_count():
     # about 10^6 pairs: listed as two int64 indices each, they alone would
     # take 16 MB; blocks of 2^15 candidates peaked at 3.2 MB
@@ -365,11 +399,31 @@ def test_pair_baseline_rejects_bins_beyond_half_patch():
         pair_count_baseline(100, np.linspace(0.0, 0.6, 5), 1.0)
 
 
-@pytest.mark.parametrize("stray", [-1e-3, 1.0])
+@pytest.mark.parametrize("stray", [-1e-3, 1.0, math.nan, math.inf, -math.inf])
 def test_estimator_rejects_points_outside_the_patch(stray):
+    # a NaN coordinate fails both bounds; let through, it would lose its
+    # pairs from DD while RR still counts them
     pts = np.array([[0.1, 0.1], [0.2, 0.2], [stray, 0.5]])
     with pytest.raises(ValueError, match="periodic patch"):
         estimate_correlation(pts, np.linspace(0.0, 0.2, 5), 1.0)
+
+
+def test_estimator_rejects_a_non_finite_edge_before_counting(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("counted pairs on invalid edges")
+
+    monkeypatch.setattr(toy_disks_mc, "_pair_counts", refuse)
+    pts = np.array([[0.1, 0.1], [0.2, 0.2]])
+    for edges in ([0.0, math.nan, 0.2], [0.0, 0.1, math.inf]):
+        with pytest.raises(ValueError, match="edges must be finite"):
+            estimate_correlation(pts, edges, 1.0)
+
+
+@pytest.mark.parametrize("patch_size", [math.inf, math.nan, 0.0])
+def test_estimator_rejects_a_patch_size_that_is_not_finite_and_positive(patch_size):
+    pts = np.array([[0.1, 0.1], [0.2, 0.2]])
+    with pytest.raises(ValueError, match="patch_size must be finite and positive"):
+        estimate_correlation(pts, np.linspace(0.0, 0.2, 5), patch_size)
 
 
 def test_uniform_field_estimates_to_zero():
@@ -500,6 +554,20 @@ def test_config_validation():
         small_config(n_realizations=0)
     with pytest.raises(ValueError):
         small_config(radius=(2.0 * R, 0.5 * R))
+
+
+@pytest.mark.parametrize("field", ["n_disks", "points_per_disk", "n_realizations", "n_bins"])
+@pytest.mark.parametrize("value", [2.5, 3.0, "4", True])
+def test_config_rejects_a_count_that_is_not_an_integer_by_name(field, value):
+    # the ensemble splits np.arange(n_realizations), which would run 3
+    # realizations for 2.5
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+        small_config(**{field: value})
+
+
+def test_config_takes_numpy_integer_counts():
+    cfg = small_config(n_disks=np.int64(40), n_realizations=np.int32(2), n_bins=np.int64(24))
+    assert run_ensemble(cfg).per_realization.shape == (2, 24)
 
 
 @pytest.mark.parametrize("hard_core", [False, True])
