@@ -32,12 +32,7 @@ from .csvio import (
     write_spectrum,
     write_summary,
 )
-from .peak_analysis import (
-    PROMINENCE_FRAC,
-    SMOOTHING_WINDOW,
-    InsufficientPeaksError,
-    analyze_spectrum,
-)
+from .peak_analysis import InsufficientPeaksError, analyze_spectrum
 from .toy_disks_analytic import DEFAULT_N_DISKS, correlation_toy1, preset_case
 from .toy_disks_mc import DiskEnsembleConfig, PackingError, run_ensemble
 from .transforms import (
@@ -197,8 +192,6 @@ def build_parser():
 
     p = sub.add_parser("analyze", parents=[common], help="peak report for a spectrum CSV")
     p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--smoothing-window", type=int, default=SMOOTHING_WINDOW)
-    p.add_argument("--prominence-frac", type=float, default=PROMINENCE_FRAC)
     p.set_defaults(func=cmd_analyze)
 
     return parser
@@ -549,16 +542,8 @@ def cmd_mc(args):
 
 def cmd_analyze(args):
     spec = read_spectrum(args.input)
-    report = analyze_spectrum(
-        spec,
-        smoothing_window=args.smoothing_window,
-        prominence_frac=args.prominence_frac,
-    )
-    manifest = _base_manifest(
-        args, "analyze", input=args.input.name,
-        smoothing_window=args.smoothing_window,
-        prominence_frac=args.prominence_frac,
-    )
+    report = analyze_spectrum(spec)
+    manifest = _base_manifest(args, "analyze", input=args.input.name)
     stem = args.input.stem
     _emit(args, f"{stem}_peaks.csv", write_peak_report, report, manifest)
     _emit(args, f"{stem}_summary.txt", write_summary, peak_summary(report))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transforms import _require_positive
+from .transforms import _check_angles, _require_positive
 
 __all__ = [
     "DoubleExp",
@@ -22,14 +22,6 @@ __all__ = [
     "Toy2Distance",
     "default_model",
 ]
-
-
-def _check_theta(theta):
-    scalar = np.ndim(theta) == 0
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if np.any(theta < 0):
-        raise ValueError("theta must be nonnegative")
-    return theta, scalar
 
 
 @dataclass(frozen=True)
@@ -48,11 +40,11 @@ class DoubleExp:
         return ()
 
     def __call__(self, theta):
-        theta, scalar = _check_theta(theta)
+        theta = _check_angles(theta)
         out = self.a1 * np.exp(-theta / self.scale1) + self.a2 * np.exp(
             -theta / self.scale2
         )
-        return out[0] if scalar else out
+        return out[()]
 
 
 @dataclass(frozen=True)
@@ -79,13 +71,13 @@ class BrokenExp:
         return (self.theta_star,)
 
     def __call__(self, theta):
-        theta, scalar = _check_theta(theta)
+        theta = _check_angles(theta)
         out = np.where(
             theta <= self.theta_star,
             self.a1 * np.exp(-theta / self.scale1),
             self.a2 * np.exp(-theta / self.scale2),
         )
-        return out[0] if scalar else out
+        return out[()]
 
 
 @dataclass(frozen=True)
@@ -116,7 +108,7 @@ class Toy2Uniform:
         return (2.0 * self.r_min, 2.0 * self.r_max)
 
     def __call__(self, theta):
-        theta, scalar = _check_theta(theta)
+        theta = _check_angles(theta)
         rmn, rmx = self.r_min, self.r_max
         out = np.zeros_like(theta)
 
@@ -129,7 +121,7 @@ class Toy2Uniform:
         out[mid] = (
             rmx - 0.5 * (1.0 + math.log(2.0)) * tm + 0.5 * tm * np.log(tm / rmx)
         )
-        return out[0] if scalar else out
+        return out[()]
 
 
 @dataclass(frozen=True)
@@ -174,7 +166,7 @@ class Toy2Distance:
         return (self.theta_1, self.theta_2)
 
     def __call__(self, theta):
-        theta, scalar = _check_theta(theta)
+        theta = _check_angles(theta)
         a2 = self.a0**2
         el = self.length
         rmn, rmx = self.r_min, self.r_max
@@ -188,7 +180,7 @@ class Toy2Distance:
         mid = (theta > self.theta_1) & (theta < self.theta_2)
         tm = theta[mid]
         out[mid] = a2 * (-rmn / el + 1.0 / tm + rmn**2 / (4.0 * el**2) * tm)
-        return out[0] if scalar else out
+        return out[()]
 
 
 # Reference parameter sets; angles quoted in degrees for legibility.

@@ -39,10 +39,8 @@ def _fmt(x):
 
 
 def _manifest_lines(manifest):
-    if not manifest:
-        return []
     out = []
-    for key in sorted(manifest):
+    for key in sorted(manifest or {}):
         value = manifest[key]
         if isinstance(value, float):
             value = "%.12g" % value

@@ -5,6 +5,10 @@ whose envelope decays as a power of k.  This module finds those peaks,
 measures the spacing and the envelope exponent, and turns the result
 into a yes/no oscillation verdict.
 
+The detection rule is fixed: a moving average over SMOOTHING_WINDOW
+samples, then maxima whose prominence is at least PROMINENCE_FRAC of the
+smoothed span.  Criteria 1, 2 and 7c test the verdict under this rule.
+
 Detection runs on log10 of the magnitude: spectra here span many decades
 and sit arbitrarily close to zero between peaks, so no fixed linear
 prominence threshold can see both the first peak and the tenth.  The log
@@ -87,10 +91,6 @@ class PeakReport:
 
 
 def _moving_average(y, window):
-    if window < 1 or window % 2 == 0:
-        raise ValueError("smoothing window must be a positive odd integer")
-    if window // 2 >= y.size:
-        raise ValueError(f"smoothing window {window} exceeds 2 * size - 1 = {2 * y.size - 1}")
     padded = np.pad(y, window // 2, mode="reflect")
     return np.convolve(padded, np.full(window, 1.0 / window), mode="valid")
 
@@ -103,19 +103,18 @@ def _log_magnitude(values):
     return np.log10(np.maximum(mag, MAGNITUDE_FLOOR * top)), top
 
 
-def find_peaks(spec, smoothing_window=SMOOTHING_WINDOW, prominence_frac=PROMINENCE_FRAC):
+def find_peaks(spec):
     """Locate qualified local maxima of a spectrum.
+
+    The log magnitude is smoothed by a SMOOTHING_WINDOW-sample moving
+    average (reflective padding keeps the ends unbiased), and a maximum
+    qualifies when its prominence is at least PROMINENCE_FRAC of the
+    smoothed span.
 
     Parameters
     ----------
     spec : PowerSpectrum
         Needs at least 16 grid points; fewer raise InsufficientPeaksError.
-    smoothing_window : odd int
-        Moving-average width applied before extremum search, at most
-        2 * size - 1; reflective padding keeps the ends unbiased.
-    prominence_frac : float
-        Minimum prominence as a fraction of the smoothed dynamic range,
-        in [0, 1].
 
     Returns
     -------
@@ -128,19 +127,17 @@ def find_peaks(spec, smoothing_window=SMOOTHING_WINDOW, prominence_frac=PROMINEN
         raise TypeError("expected a PowerSpectrum")
     if spec.grid.size < 16:
         raise InsufficientPeaksError("spectrum too short for peak analysis (< 16 points)")
-    if not 0.0 <= prominence_frac <= 1.0:
-        raise ValueError(f"prominence_frac must lie in [0, 1], got {prominence_frac}")
 
     work, top = _log_magnitude(spec.values)
-    smooth = _moving_average(work, smoothing_window)
+    smooth = _moving_average(work, SMOOTHING_WINDOW)
     span = smooth.max() - smooth.min()
     if span <= 0:  # constant spectrum
         return np.array([]), np.array([])
-    idx, _ = _scipy_find_peaks(smooth, prominence=prominence_frac * span)
+    idx, _ = _scipy_find_peaks(smooth, prominence=PROMINENCE_FRAC * span)
 
     # Snap back to the raw grid: the smoothed maximum can sit a sample or
     # two off the true one.
-    half = max(1, smoothing_window // 2)
+    half = SMOOTHING_WINDOW // 2
     refined = []
     for i in idx:
         lo = max(1, i - half)
@@ -217,9 +214,9 @@ def _verdict(locations):
     return failed is None, float(n * regularity), float(regularity), failed
 
 
-def analyze_spectrum(spec, smoothing_window=SMOOTHING_WINDOW, prominence_frac=PROMINENCE_FRAC):
+def analyze_spectrum(spec):
     """Full PeakReport for a spectrum; NaN fields where peaks run out."""
-    locations, heights = find_peaks(spec, smoothing_window, prominence_frac)
+    locations, heights = find_peaks(spec)
     nan = float("nan")
     qp = qp_std = env = env_err = nan
     if locations.size >= MIN_PEAKS:

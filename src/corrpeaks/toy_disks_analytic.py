@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transforms import BLOCK_BYTES, TabulatedCorrelation, _require_positive, gauss_nodes
+from .transforms import (BLOCK_BYTES, TabulatedCorrelation, _check_angles, _require_positive,
+                         gauss_nodes)
 
 __all__ = [
     "DiskProfile",
@@ -256,14 +257,6 @@ def _radial_convolution(d, g, h, n_r, n_psi):
                                for i in range(0, flat.size, batch)])
         out[lo:lo + chunk] = np.sum(w * r * g_fn(r) * ring.reshape(r.shape), axis=1)
     return out
-
-
-def _check_angles(theta):
-    theta = np.asarray(theta, dtype=float)
-    # Written so that NaN fails too, before any quadrature runs.
-    if not np.all((theta >= 0) & (theta < math.inf)):
-        raise ValueError("theta must be finite and nonnegative")
-    return theta
 
 
 def same_disk_integral(theta, profile):

@@ -114,8 +114,9 @@ class DiskEnsembleConfig:
         _require_count(n_disks=self.n_disks, points_per_disk=self.points_per_disk,
                        n_realizations=self.n_realizations, n_bins=self.n_bins)
         _require_positive(patch_size=self.patch_size)
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
         lo, hi = self.radius_range
         for r in (lo, hi):
             _require_positive(radius=r)

@@ -66,8 +66,8 @@ MAX_ORDER = 32768  # the largest order _margin was checked at
 NEWTON_TOL = 4.0 * np.finfo(float).eps
 NEWTON_MAX_STEPS = 10
 
-# Tabulated input whose grid coincides with the quadrature nodes to this
-# tolerance is used directly, with no interpolation step at all.
+# A table is evaluated this far beyond its first and last angle, at its
+# end values, so quadrature nodes that miss its ends by rounding still count.
 NODE_MATCH_ATOL = 1e-12
 
 # Resummation angles whose mirror images min(theta, pi - theta) agree to
@@ -90,6 +90,15 @@ def _require_positive(**kwargs):
     for name, value in kwargs.items():
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _check_angles(theta):
+    """``theta`` as a float array; ValueError unless every angle is finite and nonnegative."""
+    theta = np.asarray(theta, dtype=float)
+    # Written so that NaN fails too, before any quadrature runs.
+    if not np.all((theta >= 0) & (theta < math.inf)):
+        raise ValueError("theta must be finite and nonnegative")
+    return theta
 
 
 def _as_float_array(x, name, allow_nan=False):
@@ -202,15 +211,6 @@ class Profile1D:
         bad = [b for b in self.breakpoints if not 0 < b < self.x_max]
         if bad:
             raise ValueError(f"breakpoints must lie inside (0, x_max): {bad}")
-
-    def __call__(self, x):
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(x)
-        inside = np.abs(x) <= self.x_max
-        if np.any(inside):
-            out[inside] = self.fn(np.abs(x[inside]))
-        return out[0] if scalar else out
 
 
 def gauss_nodes(n):
@@ -365,25 +365,16 @@ def panel_nodes(breakpoints, n_nodes, lo=0.0, hi=math.pi):
 
 def _model_breakpoints(corr):
     bp = getattr(corr, "breakpoints", None)
-    if bp is None:
-        return ()
-    return tuple(bp() if callable(bp) else bp)
+    return () if bp is None else tuple(bp())
 
 
 def _sample_correlation(corr, theta):
     """Evaluate a model, callable, or tabulated correlation on quadrature nodes."""
-    if isinstance(corr, TabulatedCorrelation):
-        if np.any(np.isnan(corr.values)):
-            raise ExtrapolationError(
-                "correlation table has missing values; fill or drop them "
-                "before transforming"
-            )
-        # When the table was produced on this exact node set, skip the
-        # spline: the round trip is then limited only by quadrature.
-        if corr.theta.size == theta.size and np.allclose(
-            corr.theta, theta, rtol=0.0, atol=NODE_MATCH_ATOL
-        ):
-            return corr.values
+    if isinstance(corr, TabulatedCorrelation) and np.any(np.isnan(corr.values)):
+        raise ExtrapolationError(
+            "correlation table has missing values; fill or drop them "
+            "before transforming"
+        )
     return np.asarray(corr(theta), dtype=float)
 
 

@@ -9,6 +9,7 @@ probes and target list, so they follow the benchmark when it changes.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -47,3 +48,17 @@ def test_ensemble_draws_through_the_patched_samplers(threads):
         run_ensemble(cfg, threads=threads)
     for name in ("toy_disks_mc.sample_centers", "toy_disks_mc.sample_disk_points"):
         assert len(named(tracer.spans, name)) == cfg.n_realizations, name
+
+
+def test_analysis_runs_the_patched_peak_finder_once():
+    # the traced spectra run reads peak_analysis.find_peaks_calls as
+    # find_peaks spans per analyze_spectrum call; an analysis that reached
+    # the finder some other way would read 0, one that ran it twice 2
+    from corrpeaks import PowerSpectrum, analyze_spectrum
+
+    k = np.linspace(1.0, 60.0, 600)
+    tracer = Tracer(enabled=True)
+    with tracer.patched(layers.patch_targets()):
+        report = analyze_spectrum(PowerSpectrum(k, np.sin(k) ** 2 / k**2 + 1e-6))
+    assert report.n_peaks > 0
+    assert len(named(tracer.spans, "peak_analysis.find_peaks")) == 1

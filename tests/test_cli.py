@@ -462,7 +462,6 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         "n_disks = 10\nradius_deg = 1\nradius_min_deg = 0.5\nradius_max_deg = 2\n"
     )
     assert run("--out-dir", tmp_path, "--config", tmp_path / "both.cfg", "mc") == 1
-    # a smoothing window longer than 2 * size - 1 cannot be padded
     write_spectrum(tmp_path / "short.csv", PowerSpectrum(np.arange(16.0), 1.0 + np.arange(16.0) % 3))
     # a reversed resum range would be written sorted under a manifest that
     # names it reversed; it fails before the output directory is made
@@ -473,12 +472,6 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--theta-min" in err and "--theta-max" in err
     assert not (tmp_path / "reversed").exists()
-    assert run("--out-dir", tmp_path, "analyze", "--input", tmp_path / "short.csv",
-               "--smoothing-window", "33") == 1
-    # a prominence fraction outside [0, 1] (or NaN) is not a threshold
-    for frac in ("-1", "nan", "1.5"):
-        assert run("--out-dir", tmp_path, "analyze", "--input", tmp_path / "short.csv",
-                   "--prominence-frac", frac) == 1
     # NaN passes a "<= 0" test: the disk count must be checked as finite
     assert run("--out-dir", tmp_path, "toy1", "--case", "a", "--n-disks", "nan") == 1
     assert not (tmp_path / "toy1_case_a.csv").exists()

@@ -198,6 +198,18 @@ def test_negative_angles_rejected():
             default_model(name)(np.array([0.1, -0.2]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("name", ["c1", "c2", "toy2-uniform", "toy2-distance"])
+def test_non_finite_angles_rejected(name, bad):
+    # NaN fails every comparison, so a "theta < 0" test let it through;
+    # the toy2 models returned 0 there, and every model 0 at inf
+    model = default_model(name)
+    with pytest.raises(ValueError, match="theta must be finite and nonnegative"):
+        model(bad)
+    with pytest.raises(ValueError, match="theta must be finite and nonnegative"):
+        model(np.array([0.1, bad]))
+
+
 def test_degenerate_parameters_rejected():
     with pytest.raises(ValueError):
         Toy2Uniform(math.radians(2.0), math.radians(1.0))

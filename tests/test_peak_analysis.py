@@ -165,29 +165,3 @@ def test_report_on_oscillating_input_is_complete():
         report.n_peaks * (1.0 - report.quasi_period_std / report.quasi_period),
         rel=1e-12,
     )
-
-
-def test_smoothing_window_must_be_odd():
-    spec = airy_squared_spectrum()
-    with pytest.raises(ValueError):
-        find_peaks(spec, smoothing_window=4)
-
-
-def test_smoothing_window_must_fit_the_spectrum():
-    # Reflective padding needs window // 2 samples on each side.
-    spec = PowerSpectrum(np.arange(16.0), 1.0 + np.arange(16.0) % 3)
-    assert find_peaks(spec, smoothing_window=31)[0].size > 0
-    for window in (33, 41):
-        with pytest.raises(ValueError, match="exceeds"):
-            find_peaks(spec, smoothing_window=window)
-
-
-@pytest.mark.parametrize("frac", [-1.0, 1.5, float("nan"), float("inf")])
-def test_prominence_fraction_must_lie_in_the_unit_interval(frac):
-    spec = airy_squared_spectrum()
-    with pytest.raises(ValueError, match="prominence_frac"):
-        find_peaks(spec, prominence_frac=frac)
-    with pytest.raises(ValueError, match="prominence_frac"):
-        analyze_spectrum(spec, prominence_frac=frac)
-    for edge in (0.0, 1.0):
-        find_peaks(spec, prominence_frac=edge)

@@ -565,6 +565,14 @@ def test_config_rejects_a_count_that_is_not_an_integer_by_name(field, value):
         small_config(**{field: value})
 
 
+@pytest.mark.parametrize("seed", [math.nan, math.inf, True, -1, 2.5])
+def test_config_rejects_a_seed_that_is_not_a_nonnegative_integer_by_name(seed):
+    # NaN and inf failed converting to int, with messages that did not
+    # name the seed, and True was taken as seed 1
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        small_config(seed=seed)
+
+
 def test_config_takes_numpy_integer_counts():
     cfg = small_config(n_disks=np.int64(40), n_realizations=np.int32(2), n_bins=np.int64(24))
     assert run_ensemble(cfg).per_realization.shape == (2, 24)

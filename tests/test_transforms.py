@@ -718,16 +718,16 @@ def test_envelope_decay_tracks_discontinuity_order(maker, expect):
 
 
 def test_quadratic_spline_profile_is_c1():
-    prof = quadratic_spline_profile(1.0)
+    profile = quadratic_spline_profile(1.0)
+    h = 1e-6
     # continuous with continuous first derivative at the interior knot
-    for x0 in prof.breakpoints:
-        h = 1e-6
-        left = (prof(x0) - prof(x0 - h)) / h
-        right = (prof(x0 + h) - prof(x0)) / h
-        assert abs(prof(x0 + h) - prof(x0 - h)) < 1e-5
-        assert abs(left - right) < 1e-4
-    assert prof(0.0) == pytest.approx(1.0)  # normalized peak
-    assert prof(1.5) == 0.0
+    for x0 in profile.breakpoints:
+        below, at, above = profile.fn(np.array([x0 - h, x0, x0 + h]))
+        assert abs(above - below) < 1e-5
+        assert abs((at - below) / h - (above - at) / h) < 1e-4
+    peak, outside = profile.fn(np.array([0.0, 1.5]))
+    assert peak == pytest.approx(1.0)  # normalized peak
+    assert outside == 0.0
 
 
 # ---------------------------------------------------------------------------
