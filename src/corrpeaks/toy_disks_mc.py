@@ -21,16 +21,22 @@ The pairs with the previous column are met from that column, so every
 pair is met once.  With mx < 3 the next column would also be the
 previous one, and when all pairs fit in one block a grid does not pay,
 so then there is one run per point: all pairs i < j.  The candidates
-are cut into blocks of at most ``PAIR_BLOCK`` pairs and counted in
-about 1 MB of buffers, allocated once per call and reused by every point
-set it counts, so memory is O(N + PAIR_BLOCK), not O(pairs): a 2.1 MB
+are cut into blocks of at most ``PAIR_BLOCK`` pairs; a block repeats
+each run's point and partner offset (np.repeat) over the part of the run
+that lies in it, so memory is O(N + PAIR_BLOCK), not O(pairs): a 1.6 MB
 allocation peak for a 2,560-point realization with 0.93M pairs within
 theta_max.  An ensemble keeps only each realization's DD and turns the
-stacked counts into estimates once, against the RR they all share.  Each
-candidate's distance is the nearest-image one, per axis, then
-sqrt(dx^2 + dy^2); candidates beyond theta_max (1 + 1e-12) are dropped
-and the rest binned exactly as np.histogram bins them: [e_k, e_k+1),
-the last bin closed.
+stacked counts into estimates once, against the RR they all share.
+Distances are to the nearest image per axis, but only a block with a
+run that may cross the patch edge (a wrapped part, the last column's
+next column, or any run of the one-run-per-point case) is folded to it:
+on the other runs a raw |dx| or |dy| of at most L/2 is already the
+nearest-image one, and a larger one puts the pair beyond reach either
+way.  The squared distances dx^2 + dy^2 are binned against squared
+edges, with no sqrt: entry k is the smallest double t with sqrt(t) >=
+e_k, and the last the smallest with sqrt(t) > e_n.  A correctly rounded
+sqrt is monotone, so this bins every pair exactly as np.histogram bins
+sqrt(dx^2 + dy^2): [e_k, e_k+1), the last bin closed.
 
 Determinism contract: every realization i derives its generator from
 (seed, i), so ensembles are reproducible bit for bit regardless of how
@@ -71,8 +77,8 @@ MAX_ATTEMPTS_PER_DISK = 1_000_000
 # Hard-core center candidates drawn and tested together.
 CENTER_BLOCK = 64
 
-# Candidate pairs counted together; the counter's buffers are this long, and
-# its two coordinate buffers, 32 bytes a candidate, fill BLOCK_BYTES.
+# Candidate pairs counted together; the counter's arrays are this long, and
+# its two coordinate arrays, 32 bytes a candidate, fill BLOCK_BYTES.
 PAIR_BLOCK = BLOCK_BYTES // 32
 
 # Rows per column width: a pair within theta_max is at most this many rows apart.
@@ -201,7 +207,8 @@ def _min_image(d, size, scratch=None):
 def _clashes(a, b, size, d_min2):
     """Whether a[p] and b[q] sit at most sqrt(d_min2) apart, as a (p, q) matrix."""
     d = _min_image(a[:, None, :] - b[None, :, :], size)
-    return np.sum(d**2, axis=2) <= d_min2
+    d *= d
+    return d[..., 0] + d[..., 1] <= d_min2
 
 
 def sample_centers(config, rng):
@@ -300,9 +307,12 @@ def _candidate_segments(points, size, reach):
 
     Returns the points sorted by column and row and, for every nonempty
     run, one segment: the coordinates of the point whose run it is,
-    ``shift`` and ``ends``.  The candidates form one stream; segment s
-    holds stream positions [ends[s-1], ends[s]), and position p pairs the
-    segment's point with sorted point p + shift[s].
+    ``shift``, ``bounds`` and ``wraps``.  The candidates form one stream;
+    segment s holds stream positions [bounds[s], bounds[s+1]), and
+    position p pairs the segment's point with sorted point p + shift[s].
+    ``wraps[s]`` marks a run that may cross the patch edge.  On any other
+    run a raw |dx| or |dy| of at most L/2 is already the nearest-image
+    one, and a larger one puts the pair beyond reach either way.
     """
     n = points.shape[0]
     # The slack keeps a column wider than reach through rounding; the grid
@@ -310,6 +320,7 @@ def _candidate_segments(points, size, reach):
     mx = min(int(size / (reach * (1.0 + 1e-9))), math.isqrt(n))
     if mx < 3 or n * (n - 1) // 2 <= PAIR_BLOCK:
         lo, hi = np.arange(1, n + 1), n  # one run per point: all later points
+        wraps = np.ones(n, dtype=bool)
     else:
         my = ROWS_PER_REACH * mx
         cells = (points * (np.array([mx, my]) / size)).astype(np.intp)
@@ -332,53 +343,74 @@ def _candidate_segments(points, size, reach):
             runs += [col + np.clip(rows, 0, my), col + np.clip(rows - other_side, 0, my)]
         lo, hi = start.take(np.array(runs).transpose(1, 0, 2))
         lo[0] = np.arange(1, n + 1)  # own column: later points only
+        # The parts that cross the top or bottom edge, and the last
+        # column's next column, which is the first.
+        wraps = np.zeros((4, n), dtype=bool)
+        wraps[1::2] = True
+        wraps[2] = own == (mx - 1) * my
     length = (hi - lo).reshape(-1)
     visit = np.flatnonzero(length > 0)
-    length = length.take(visit)
-    ends = np.cumsum(length)
-    # A segment's partners start at stream position ends - length.
-    shift = lo.reshape(-1).take(visit) - (ends - length)
-    return points, points.take(visit % n, axis=0), shift, ends
+    bounds = np.zeros(visit.size + 1, dtype=np.intp)
+    np.add.accumulate(length.take(visit), out=bounds[1:])
+    # A segment's partners start at stream position bounds[s].
+    shift = lo.reshape(-1).take(visit) - bounds[:-1]
+    return points, points.take(visit % n, axis=0), shift, bounds, wraps.reshape(-1).take(visit)
+
+
+def _squared_edges(edges):
+    """Thresholds on d2 that bin it as np.histogram bins sqrt(d2) on ``edges``.
+
+    Entry k is the smallest double t with sqrt(t) >= e_k, and the last
+    entry the smallest with sqrt(t) > e_n, for the closed last bin.  A
+    correctly rounded sqrt is monotone, so sqrt(d2) >= e_k exactly when
+    d2 >= t_k.
+    """
+    goal = edges.astype(float)
+    goal[-1] = math.nextafter(goal[-1], math.inf)  # sqrt(t) > e_n, in doubles
+    t = goal * goal
+    # sqrt(t) >= goal exactly when t exceeds the square of the midpoint
+    # between goal and the double below it, 0.7 to 1.5 ulps under goal^2:
+    # so the answer is goal*goal or the double below it, or, where goal^2
+    # is subnormal or underflows, the double above it.
+    below = np.nextafter(t, 0.0)
+    np.copyto(t, below, where=np.sqrt(below) >= goal)
+    np.copyto(t, np.nextafter(t, np.inf), where=np.sqrt(t) < goal)
+    return t
 
 
 def _pair_counts(point_sets, edges, size):
     """DD of each point set in turn, one row per set: pairs per bin of ``edges``
-    at nearest-image distance, counted on a cell list in buffers allocated once."""
-    limit = edges[-1] ** 2 * (1.0 + 1e-12)
+    at nearest-image distance, counted on a cell list a block at a time."""
+    table = _squared_edges(edges)
     step = np.arange(PAIR_BLOCK)
-    buffers = (np.empty(step.size, dtype=np.intp), np.empty(step.size, dtype=np.intp),
-               np.empty((step.size, 2)), np.empty((step.size, 2)),
-               np.empty(step.size), np.empty(step.size, dtype=bool))
+    buffers = (np.empty((step.size, 2)), np.empty(step.size))
     rows = []
     for points in point_sets:
-        points, visitors, shift, ends = _candidate_segments(points, size, edges[-1])
+        points, visitors, shift, bounds, wraps = _candidate_segments(points, size, edges[-1])
         dd = np.zeros(edges.size - 1, dtype=np.intp)
-        total = int(ends[-1]) if ends.size else 0
+        total = int(bounds[-1])
         for b0 in range(0, total, step.size):
             k = min(step.size, total - b0)
-            s0 = int(ends.searchsorted(b0, side="right"))
-            s1 = int(ends.searchsorted(b0 + k, side="left")) + 1
-            seg, j, d, tmp, d2, near = (buf[:k] for buf in buffers)
-            # Segment of every candidate in the block, counted from s0.
-            seg.fill(0)
-            seg[ends[s0:s1 - 1] - b0] = 1
-            seg.cumsum(out=seg)
-            (shift[s0:s1] + b0).take(seg, out=j, mode="clip")
+            s0 = int(bounds.searchsorted(b0, side="right")) - 1
+            s1 = int(bounds.searchsorted(b0 + k, side="left"))
+            tmp, d2 = (buf[:k] for buf in buffers)
+            # Each segment's run, clipped to the block, gives its candidates.
+            cut = bounds[s0:s1 + 1].copy()
+            cut[0], cut[-1] = b0, b0 + k
+            count = cut[1:] - cut[:-1]
+            j = (shift[s0:s1] + b0).repeat(count)
             j += step[:k]
-            visitors[s0:s1].take(seg, axis=0, out=d, mode="clip")
+            d = visitors[s0:s1].repeat(count, axis=0)
             points.take(j, axis=0, out=tmp, mode="clip")
             d -= tmp
-            _min_image(d, size, tmp)
+            if np.count_nonzero(wraps[s0:s1]):
+                _min_image(d, size, tmp)
             d *= d
             np.add(d[:, 0], d[:, 1], out=d2)
-            np.less_equal(d2, limit, out=near)
-            dist = d2[:np.count_nonzero(near)]
-            d2.compress(near, out=dist)
-            np.sqrt(dist, out=dist)
-            # np.histogram's own binning: sort, then count up to each edge.
-            dist.sort()
-            below = dist.searchsorted(edges, side="left")
-            below[-1] = dist.searchsorted(edges[-1], side="right")
+            near_d2 = d2[d2 < table[-1]]
+            # np.histogram's own binning: sort, then count up to each squared edge.
+            near_d2.sort()
+            below = near_d2.searchsorted(table)
             dd += below[1:]
             dd -= below[:-1]
         rows.append(dd)

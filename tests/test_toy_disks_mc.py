@@ -352,6 +352,71 @@ def test_a_pair_at_the_last_edge_counts_even_if_its_square_rounds_past_it():
     npt.assert_array_equal(pair_counts(pts, np.linspace(0.0, reach, 4), 1.0), [0, 0, 1])
 
 
+EDGE_SETS = [
+    np.linspace(0.0, 0.3, 65),
+    np.linspace(0.0, ORACLE_PATCH / 2, 8),
+    np.concatenate([[0.0], np.sort(np.random.default_rng(4).uniform(0.0, 0.5, 60))]),
+    np.concatenate([[0.0], np.geomspace(1e-7, 0.4, 40)]),
+    # squares that are subnormal or underflow to zero
+    np.array([0.0, 1e-170, 2e-160, 3e-155, 0.1]),
+]
+
+
+@pytest.mark.parametrize("edges", EDGE_SETS,
+                         ids=["linear", "half-patch", "random", "geometric", "tiny"])
+def test_squared_edges_are_the_smallest_doubles_that_reach_each_edge(edges):
+    table = toy_disks_mc._squared_edges(edges)
+    below = np.nextafter(table, 0.0)
+    inner, last = slice(None, -1), -1
+    # [e_k, e_k+1): sqrt(t_k) >= e_k, and no smaller double gets there
+    assert (np.sqrt(table[inner]) >= edges[inner]).all()
+    assert ((np.sqrt(below[inner]) < edges[inner]) | (table[inner] == 0.0)).all()
+    # the last bin is closed: t_n is the first double past it
+    assert np.sqrt(table[last]) > edges[last] >= np.sqrt(below[last])
+
+
+def test_pairs_on_interior_edges_bin_as_np_histogram_bins_their_distance():
+    # dx within 4 ulps of an interior edge e_k and dy from 0 to a few ulps
+    # of e_k**2 in dy*dy, so that dx*dx + dy*dy takes every double next to
+    # the squared edge: below and above e_k**2, at sqrt == e_k and short of it
+    for edges in (np.linspace(0.0, 0.3, 7), np.array([0.0, 0.07, 0.1, 0.23, 0.3])):
+        inner = edges[1:-1]
+        table = toy_disks_mc._squared_edges(edges)[1:-1]
+        # where e*e itself would bin sqrt == e_k one bin low
+        assert (table != inner * inner).any() and (table == inner * inner).any()
+        grids = [np.meshgrid(e * (1.0 + np.arange(-4, 5) * 2.0**-52),
+                             np.sqrt(np.arange(7) * np.spacing(e * e))) for e in inner]
+        dx, dy = (np.concatenate([g[axis].reshape(-1) for g in grids]) for axis in (0, 1))
+        d2 = dx * dx + dy * dy
+        assert np.isin(table, d2).all() and np.isin(np.nextafter(table, 0.0), d2).all()
+        sets = [np.array([[0.0, 0.0], [x, y]]) for x, y in zip(dx, dy)]
+        rows = toy_disks_mc._pair_counts(sets, edges, 1.0)
+        npt.assert_array_equal(rows, [np.histogram(r, bins=edges)[0] for r in np.sqrt(d2)])
+
+
+@pytest.mark.parametrize("reach", [ORACLE_PATCH / 5, ORACLE_PATCH / 3.5, 0.05])
+@pytest.mark.parametrize("kind", ["uniform", "lattice", "corner"])
+def test_a_run_not_marked_as_wrapping_needs_no_nearest_image(kind, reach):
+    # On a run that is not marked, every candidate's raw difference is the
+    # nearest-image one on both axes, or the pair is out of reach either way.
+    size = ORACLE_PATCH
+    limit = toy_disks_mc._squared_edges(np.array([0.0, reach]))[-1]
+    rng = np.random.default_rng([9, int(reach * 1e6)])
+    pts = oracle_points(kind, 400, reach, rng)
+    points, visitors, shift, bounds, wraps = toy_disks_mc._candidate_segments(pts, size, reach)
+    assert not wraps.all()  # the grid was used
+    count = np.diff(bounds)
+    keep = np.repeat(~wraps, count)
+    partner = np.arange(bounds[-1])[keep] + np.repeat(shift, count)[keep]
+    raw = np.abs(np.repeat(visitors, count, axis=0)[keep] - points[partner])
+    near = np.minimum(raw, size - raw)
+    same = (raw == near).all(axis=1)
+    out_of_reach = ((raw * raw).sum(axis=1) >= limit) & ((near * near).sum(axis=1) >= limit)
+    assert (same | out_of_reach).all()
+    if kind == "uniform" and reach > size / 4:
+        assert not same.all()  # with mx = 3, some raw |dx| exceed L/2
+
+
 @pytest.mark.parametrize("reach", [0.05, 0.45])
 def test_pair_counts_hold_when_blocks_cut_every_run_of_partners(monkeypatch, reach):
     # blocks of 97 candidates, far shorter than the runs of partners in
@@ -380,7 +445,7 @@ def test_reused_buffers_carry_nothing_from_one_point_set_to_the_next(monkeypatch
 
 def test_pair_counter_memory_does_not_grow_with_the_pair_count():
     # about 10^6 pairs: listed as two int64 indices each, they alone would
-    # take 16 MB; blocks of 2^15 candidates peaked at 3.2 MB
+    # take 16 MB; blocks of 2^15 candidates peak at 3.0 MB
     cfg = small_config(n_disks=80, points_per_disk=32, patch_size=1.0, theta_max=0.3)
     rng = realization_rng(2, 0)
     pts = sample_disk_points(sample_centers(cfg, rng), cfg, rng)
