@@ -283,7 +283,7 @@ def _transform_settings(args):
 _GRID_DOMAINS = {
     ("transform", "theta"): (lambda v: 0.0 <= v <= math.pi, "within [0, 180deg]"),
     ("transform", "k"): (lambda v: 0.0 <= v < math.inf, "finite and nonnegative"),
-    ("toy1", "theta"): (lambda v: 0.0 < v < math.inf, "finite and positive"),
+    ("toy1", "theta"): (lambda v: 0.0 < v <= math.pi, "within (0, 180deg]"),
 }
 
 

@@ -128,9 +128,14 @@ class Toy2Uniform:
 class Toy2Distance:
     """Disks of fixed physical size at distances uniform in [r_min, r_max].
 
-    The projected radius of a disk at distance r is length/r, and the
-    amplitude weight is (a0 r / length)^... folded into the same overlap
-    kernel as Toy2Uniform, giving
+    The projected radius of a disk at distance r is R = L/r (L =
+    ``length``), and each unit of distance adds Toy2Uniform's kernel
+    1 - theta/(2R) with weight a0^2/L:
+
+        C(theta) = Integral (a0^2 / L) (1 - theta r / (2 L)) dr
+                   over r from r_min to min(r_max, 2 L / theta),
+
+    which gives
 
         a0^2 [ (r_max - r_min)/L - (r_max^2 - r_min^2) theta / (4 L^2) ]
                                                        theta <= theta_1

@@ -3,7 +3,9 @@
 A spectrum with a breakpoint-bearing source shows quasi-periodic peaks
 whose envelope decays as a power of k.  This module finds those peaks,
 measures the spacing and the envelope exponent, and turns the result
-into a yes/no oscillation verdict.
+into a yes/no oscillation verdict.  The verdict is read from its reasons
+(the peak count and the regularity of the spacings) and names the first
+threshold they fail.
 
 The detection rule is fixed: a moving average over SMOOTHING_WINDOW
 samples, then maxima whose prominence is at least PROMINENCE_FRAC of the
@@ -53,11 +55,12 @@ class PeakReport:
     """Everything measured about one spectrum's peak structure.
 
     ``quasi_period``/``envelope_exponent`` and their uncertainties are
-    NaN when too few peaks qualify; ``detected`` is the final verdict.
-    ``regularity`` (1 - sigma/mean of the peak spacings, NaN below two
-    peaks) and ``failed_threshold`` ("min_peaks", "regularity_min", or
-    None when detected) say why the verdict came out as it did; they are
-    diagnostics and are not written to the peak CSV.
+    NaN when too few peaks qualify.  ``regularity`` (1 - sigma/mean of
+    the peak spacings floored at zero, NaN below two peaks) and
+    ``failed_threshold`` ("min_peaks", "regularity_min", or None) say why
+    the verdict came out as it did; they are diagnostics and are not
+    written to the peak CSV.  The verdict ``detected`` and the ``score``
+    are read from them, so they cannot disagree.
     """
 
     locations: np.ndarray
@@ -66,10 +69,8 @@ class PeakReport:
     quasi_period_std: float
     envelope_exponent: float
     envelope_stderr: float
-    score: float
-    detected: bool
-    regularity: float = float("nan")
-    failed_threshold: str | None = None
+    regularity: float
+    failed_threshold: str | None
 
     def __post_init__(self):
         loc = np.asarray(self.locations, dtype=float)
@@ -88,6 +89,15 @@ class PeakReport:
     @property
     def n_peaks(self):
         return int(self.locations.size)
+
+    @property
+    def detected(self):
+        return self.failed_threshold is None
+
+    @property
+    def score(self):
+        """n_peaks * regularity: several broadly evenly spaced peaks score high."""
+        return self.n_peaks * self.regularity if self.n_peaks >= 2 else 0.0
 
 
 def _moving_average(y, window):
@@ -193,39 +203,23 @@ def envelope_decay_exponent(locations, heights):
     return float(slope), float(stderr)
 
 
-def _verdict(locations):
-    """(detected, score, regularity, failed_threshold) of a peak set.
-
-    score = n_peaks * regularity, with regularity = 1 - sigma/mean of the
-    spacings floored at zero; detection needs MIN_PEAKS peaks and
-    regularity >= REGULARITY_MIN, i.e. several broadly evenly spaced peaks.
-    """
-    n = locations.size
-    if n < 2:
-        return False, 0.0, float("nan"), "min_peaks"
-    gaps = np.diff(locations)
-    regularity = max(0.0, 1.0 - gaps.std() / gaps.mean()) if gaps.mean() > 0 else 0.0
-    if n < MIN_PEAKS:
-        failed = "min_peaks"
-    elif regularity < REGULARITY_MIN:
-        failed = "regularity_min"
-    else:
-        failed = None
-    return failed is None, float(n * regularity), float(regularity), failed
-
-
 def analyze_spectrum(spec):
     """Full PeakReport for a spectrum; NaN fields where peaks run out."""
     locations, heights = find_peaks(spec)
-    nan = float("nan")
-    qp = qp_std = env = env_err = nan
-    if locations.size >= MIN_PEAKS:
-        qp, qp_std = quasi_period(locations)
+    qp = qp_std = env = env_err = regularity = float("nan")
+    gaps = np.diff(locations)
+    if gaps.size:
+        spacing, spread = float(gaps.mean()), float(gaps.std())
+        regularity = max(0.0, 1.0 - spread / spacing)
+    if locations.size < MIN_PEAKS:
+        failed = "min_peaks"
+    else:
+        qp, qp_std = spacing, spread
+        failed = "regularity_min" if regularity < REGULARITY_MIN else None
     try:
         env, env_err = envelope_decay_exponent(locations, heights)
     except InsufficientPeaksError:
         pass
-    detected, score, regularity, failed = _verdict(locations)
     return PeakReport(
         locations=locations,
         heights=heights,
@@ -233,8 +227,6 @@ def analyze_spectrum(spec):
         quasi_period_std=qp_std,
         envelope_exponent=env,
         envelope_stderr=env_err,
-        score=score,
-        detected=detected,
         regularity=regularity,
         failed_threshold=failed,
     )

@@ -373,9 +373,10 @@ def correlation_toy1(theta_grid, profile, omega, n_disks=DEFAULT_N_DISKS):
         Separations in radians, strictly positive and increasing.  The
         flat-sky formula is meaningful for theta well below a radian.
     profile : DiskProfile
-    omega : CenterCorrelation or None
-        None drops the other-disk term entirely (isolated-disk field);
-        an omega of constant -1 reaches the same result the long way.
+        Its same-disk term n A is read from the overlap table of its shape.
+    omega : CenterCorrelation
+        Center process of the other-disk term; an omega of constant -1
+        drops that term (isolated-disk field).
     n_disks : float
         Number of disks on the sphere; sets both the other-disk density
         and the overall amplitude.
@@ -391,9 +392,8 @@ def correlation_toy1(theta_grid, profile, omega, n_disks=DEFAULT_N_DISKS):
     _require_positive(n_disks=n_disks)
 
     overlap, _, _ = _tabulated_overlap(profile)
-    values = n_disks / (4.0 * math.pi) * overlap(theta_grid)
-    if omega is not None:
-        values = values + other_disk_integral(theta_grid, profile, omega, n_disks)
+    values = (n_disks / (4.0 * math.pi) * overlap(theta_grid)
+              + other_disk_integral(theta_grid, profile, omega, n_disks))
     return TabulatedCorrelation(theta_grid, values)
 
 

@@ -174,7 +174,6 @@ class RealizationStats:
     rms: np.ndarray
     n_pairs: np.ndarray
     per_realization: np.ndarray
-    config: DiskEnsembleConfig
 
     def __post_init__(self):
         if np.any(self.n_pairs < 0):
@@ -485,5 +484,4 @@ def run_ensemble(config, threads=1):
         rms=rms,
         n_pairs=n_pairs,
         per_realization=np.where(dd > 0, measured, np.nan),
-        config=config,
     )

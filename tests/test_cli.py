@@ -527,6 +527,8 @@ def test_reversed_ranges_exit_1_naming_both_flags(tmp_path, capsys):
     (("transform", "--mode", "resum", "--input", "SPECTRUM", "--n-theta", "1"), "--n-theta"),
     (("toy1", "--case", "a", "--n-theta", "1"), "--n-theta"),
     (("toy2", "--variant", "uniform", "--n-theta", "1"), "--n-theta"),
+    (("toy1", "--case", "a", "--theta-max", "200deg"), "--theta-max"),
+    (("toy1", "--case", "a", "--theta-min", "179deg", "--theta-max", "181deg"), "--theta-max"),
 ])
 def test_invalid_grids_exit_1_naming_the_flag(tmp_path, capsys, argv, flag):
     # ends in order can still make an invalid grid: equal ends, an end

@@ -119,6 +119,28 @@ def test_toy2_uniform_matches_defining_integral(r_min_deg, r_max_deg):
     npt.assert_allclose(m(theta), expect, rtol=0.0, atol=1e-12 * m(0.0))
 
 
+@pytest.mark.parametrize("model", [default_model("toy2-distance"),
+                                   Toy2Distance(0.5, 2.0, 1.0, 8.0)])
+def test_toy2_distance_matches_defining_integral(model):
+    # the closed form is int (a0^2/L) (1 - theta r/(2L)) dr over
+    # r in [r_min, min(r_max, 2L/theta)]; integrate that directly
+    a0, L, rmn = model.a0, model.length, model.r_min
+
+    def defining_integral(t):
+        hi = model.r_max if t == 0.0 else min(model.r_max, 2.0 * L / t)
+        if hi <= rmn:
+            return 0.0
+        value, _ = quad(
+            lambda r: a0**2 / L * (1.0 - t * r / (2.0 * L)), rmn, hi, epsabs=0.0, epsrel=1e-13
+        )
+        return value
+
+    theta = np.linspace(0.0, 1.2 * model.theta_2, 301)
+    assert np.any(theta < model.theta_1) and np.any(theta > model.theta_2)
+    expect = np.array([defining_integral(t) for t in theta])
+    npt.assert_allclose(model(theta), expect, rtol=0.0, atol=1e-12 * model(0.0))
+
+
 def test_toy2_uniform_is_continuous_and_c1_at_joins():
     m = Toy2Uniform(math.radians(1.0), math.radians(2.0))
     # reference slope scale: the inner branch carries ln(r_max/r_min)/2

@@ -189,7 +189,7 @@ def test_profile_with_an_interior_kink():
     area = same_disk_integral(theta, prof)
     assert np.max(np.abs(area - ref)) <= 1e-6 * np.max(ref)
     # the same through the table, as correlation_toy1 reads it
-    tabulated = correlation_toy1(theta[1:], prof, None, N_C).values / RATE
+    tabulated = _tabulated_overlap(prof)[0](theta[1:])
     assert np.max(np.abs(tabulated - ref[1:])) <= 1e-6 * np.max(ref)
     far = np.array([0.3 * R, 1.7 * R, 3.1 * R])
     npt.assert_allclose(other_disk_integral(far, prof, poisson_centers(), N_C),
@@ -336,9 +336,9 @@ def test_case_a_baseline_is_flat_beyond_the_disk_diameter():
 def test_same_disk_term_only_dies_beyond_2r():
     prof, _ = preset_case("a")
     theta = np.array([0.5 * R, 1.9 * R, 2.1 * R, 3.0 * R])
-    tab = correlation_toy1(theta, prof, None, N_C)
-    assert np.all(tab.values[:2] > 0)
-    npt.assert_array_equal(tab.values[2:], 0.0)
+    same_disk = _tabulated_overlap(prof)[0](theta)
+    assert np.all(same_disk[:2] > 0)
+    npt.assert_array_equal(same_disk[2:], 0.0)
 
 
 def test_hard_core_case_sits_below_poisson_case():
@@ -446,7 +446,7 @@ def test_same_disk_term_is_read_from_the_table(case):
         exact = np.array([_exp_overlap(t) for t in theta])
     else:
         exact = lens_area(theta, R)
-    tabulated = correlation_toy1(theta, prof, None, N_C).values / RATE
+    tabulated = _tabulated_overlap(prof)[0](theta)
     direct = same_disk_integral(theta, prof)
     peak = np.max(exact)
     assert (np.max(np.abs(tabulated - exact))
@@ -491,7 +491,7 @@ def test_exponential_overlap_is_cut_at_the_central_cone():
     theta = np.linspace(math.radians(0.05), R, 64)
     exact = np.array([_exp_overlap(t) for t in theta])
     peak = _exp_overlap(0.0)
-    tabulated = correlation_toy1(theta, prof, None, N_C).values / RATE
+    tabulated = _tabulated_overlap(prof)[0](theta)
     for route in (same_disk_integral(theta, prof), tabulated):
         assert np.max(np.abs(route - exact)) <= 3e-7 * peak
 

@@ -85,7 +85,6 @@ def test_thread_count_never_shows_in_results(threads):
     parallel = run_ensemble(cfg, threads=threads)
     for field in ("theta_edges", "mean", "rms", "n_pairs", "per_realization"):
         npt.assert_array_equal(getattr(serial, field), getattr(parallel, field), err_msg=field)
-    assert parallel.config == cfg
 
 
 def test_one_thread_starts_no_thread(monkeypatch):
