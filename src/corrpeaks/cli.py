@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from .csvio import (
     write_spectrum,
     write_summary,
 )
-from .peak_analysis import InsufficientPeaksError, analyze_spectrum
+from .peak_analysis import MIN_SPECTRUM_POINTS, InsufficientPeaksError, analyze_spectrum
 from .toy_disks_analytic import DEFAULT_N_DISKS, correlation_toy1, preset_case
 from .toy_disks_mc import DiskEnsembleConfig, PackingError, run_ensemble
 from .transforms import (
@@ -172,7 +173,8 @@ def build_parser():
     p.add_argument("--length", type=float)
     p.add_argument("--distance-min", type=float)
     p.add_argument("--distance-max", type=float)
-    p.add_argument("--ell-max", type=positive_int, default=2000)
+    # toy2 always writes a peak report, which needs MIN_SPECTRUM_POINTS multipoles.
+    p.add_argument("--ell-max", type=_int_at_least(MIN_SPECTRUM_POINTS - 1), default=2000)
     p.add_argument("--n-theta", type=_int_at_least(2), default=512, help="correlation output grid")
     p.set_defaults(func=cmd_toy2)
 
@@ -551,6 +553,12 @@ def cmd_analyze(args):
     return 0
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    # One line that names neither a source file nor a line of it, so stderr
+    # does not change with the checkout or with an edit to the code.
+    print(f"corrpeaks: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -564,7 +572,12 @@ def main(argv=None):
         if args.command == "transform":
             _transform_settings(args)
         _check_ranges(args)
-        return args.func(args)
+        with warnings.catch_warnings():
+            # A warning the command raises is shown, once where it is
+            # raised, whatever filters the caller has set.
+            warnings.simplefilter("default")
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except (CsvFormatError, ExtrapolationError, InsufficientPeaksError,
             RuntimeError, OSError, ArithmeticError) as exc:
         # Bad input data, or a well-formed request whose computation could

@@ -36,6 +36,8 @@ __all__ = [
 
 SMOOTHING_WINDOW = 5
 PROMINENCE_FRAC = 0.01
+# The fewest grid points a spectrum needs for peak analysis.
+MIN_SPECTRUM_POINTS = 16
 # Peaks below this fraction of the spectrum maximum are floor noise.
 MAGNITUDE_FLOOR = 1e-15
 # Verdict: at least MIN_PEAKS peaks whose spacings are regular enough.
@@ -124,7 +126,8 @@ def find_peaks(spec):
     Parameters
     ----------
     spec : PowerSpectrum
-        Needs at least 16 grid points; fewer raise InsufficientPeaksError.
+        Needs at least MIN_SPECTRUM_POINTS grid points; fewer raise
+        InsufficientPeaksError.
 
     Returns
     -------
@@ -135,8 +138,10 @@ def find_peaks(spec):
     """
     if not isinstance(spec, PowerSpectrum):
         raise TypeError("expected a PowerSpectrum")
-    if spec.grid.size < 16:
-        raise InsufficientPeaksError("spectrum too short for peak analysis (< 16 points)")
+    if spec.grid.size < MIN_SPECTRUM_POINTS:
+        raise InsufficientPeaksError(
+            f"spectrum too short for peak analysis (< {MIN_SPECTRUM_POINTS} points)"
+        )
 
     work, top = _log_magnitude(spec.values)
     smooth = _moving_average(work, SMOOTHING_WINDOW)

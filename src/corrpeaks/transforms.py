@@ -25,7 +25,11 @@ A112, 2013).  A mirror pair whose two weighted samples are exactly zero
 is dropped before the multipole loop, as is a single node before the
 wavenumber loop of the small-angle transform.  The recurrence writes its
 rows into one buffer of ``BLOCK_BYTES``, and each block of multipoles is
-contracted with one matrix product instead of one dot per multipole.  The
+contracted with one matrix product instead of one dot per multipole.
+Every row of the buffer starts on a 64-byte cache line and is padded to
+whole lines, because a row that starts mid-line splits the recurrence's
+vector loads across two lines, and numpy's 16-byte alignment would leave
+that to where each process happened to place the buffer.  The
 resummation folds its angles the same way: an angle and its mirror image
 pi - theta share one row, read through the even-ell and odd-ell sums.
 """
@@ -78,6 +82,10 @@ FOLD_ATOL = 4.0 * np.spacing(math.pi)
 # Size of the buffer the Legendre recurrence writes its rows into; a block
 # of rows is contracted with one matrix product.
 BLOCK_BYTES = 1 << 19
+
+# Each row of that buffer starts on a cache line of this many bytes, so a
+# vector load in the recurrence never straddles two lines.
+CACHE_LINE_BYTES = 64
 
 
 class ExtrapolationError(ValueError):
@@ -390,6 +398,17 @@ def _weighted_samples(corr, breakpoints, n_nodes):
     return theta, f, 2.0 * math.pi * w * np.sin(theta) * f
 
 
+def _line_aligned_rows(rows, n):
+    """An uninitialised (rows, n) float array whose every row starts on a
+    cache line: the rows of a larger buffer padded to whole lines, the
+    buffer shifted to the first line boundary it holds."""
+    line = CACHE_LINE_BYTES // 8
+    width = -(-n // line) * line
+    raw = np.empty(rows * width + line)
+    skip = (-raw.ctypes.data % CACHE_LINE_BYTES) // 8
+    return raw[skip : skip + rows * width].reshape(rows, width)[:, :n]
+
+
 def _legendre_rows(x, ell_max):
     """Yield (ell, scale, rows) with P_ell+i(x) = scale[i] * rows[i], the
     blocks in order and together P_0(x) .. P_ell_max(x).
@@ -423,7 +442,7 @@ def _legendre_rows(x, ell_max):
     alpha[2:] = (2.0 * ell - 1.0) / ell * h[1:-1] / h[2:]
 
     per_block = max(2, BLOCK_BYTES // (8 * max(x.size, 1)) - 2)
-    buf = np.empty((min(per_block, n_rows) + 2, x.size))
+    buf = _line_aligned_rows(min(per_block, n_rows) + 2, x.size)
     row, multiply, subtract = list(buf), np.multiply, np.subtract
     start = 0
     while start < n_rows:

@@ -434,6 +434,19 @@ def test_out_dir_after_the_subcommand_wins(tmp_path):
     assert [p.name for p in (tmp_path / "b").iterdir()] == ["spectrum_c1_legendre.csv"]
 
 
+def test_warnings_print_on_one_line(tmp_path, capsys):
+    # the small-angle tail warning, not the source line that raised it
+    assert run("--out-dir", tmp_path, "transform", "--model", "c2", "--mode", "smallangle",
+               "--k-max", "200", "--n-k", "100") == 0
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == (
+        "corrpeaks: warning: correlation has weight beyond 10 deg; "
+        "small-angle spectrum is unreliable there"
+    )
+    assert err.splitlines()[1].startswith("verdict: ")
+    assert "cli.py" not in err and "UserWarning" not in err
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     assert run("transform", "--model", "nope") == 1
     assert run("no-such-command") == 1
@@ -449,6 +462,16 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     # a spectrum needs two coefficients
     assert run("--out-dir", tmp_path, "transform", "--model", "c2", "--ell-max", "0") == 1
     assert run("--out-dir", tmp_path, "toy2", "--variant", "uniform", "--ell-max", "0") == 1
+    # toy2 always writes a peak report, which needs 16 multipoles; it says
+    # so before computing anything, while transform skips the verdict
+    capsys.readouterr()
+    assert run("--out-dir", tmp_path / "short", "toy2", "--variant", "uniform",
+               "--ell-max", "1") == 1
+    assert "--ell-max" in capsys.readouterr().err
+    assert not (tmp_path / "short").exists()
+    assert run("--out-dir", tmp_path / "short", "toy2", "--variant", "uniform",
+               "--ell-max", "15", "--n-theta", "8") == 0
+    assert run("--out-dir", tmp_path, "transform", "--model", "c2", "--ell-max", "1") == 0
     assert run("--out-dir", tmp_path, "transform", "--model", "c2",
                "--mode", "smallangle", "--n-k", "1") == 1
     # a radius range needs both ends, from flags or from a config file

@@ -340,6 +340,18 @@ def test_legendre_rows_are_odd_or_even_bit_for_bit(block_bytes, monkeypatch):
         npt.assert_allclose(scaled, np.array(list(_plain_rows(x, ell_max))), rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("block_bytes", [transforms.BLOCK_BYTES, 8 * 4 * 37, 1])
+@pytest.mark.parametrize("n", [1, 7, 37, 1728, 3601])
+def test_legendre_rows_start_on_cache_lines(n, block_bytes, monkeypatch):
+    # A row that starts mid-line splits the recurrence's vector loads
+    # across two cache lines; node counts off and on whole lines.
+    monkeypatch.setattr(transforms, "BLOCK_BYTES", block_bytes)
+    x = np.cos(np.linspace(0.0, math.pi / 2, n))
+    for _, _, block in transforms._legendre_rows(x, 300):
+        assert block.shape[1] == n
+        assert all(row.ctypes.data % 64 == 0 for row in block)
+
+
 @pytest.mark.parametrize("block_bytes", [8 * 4 * 37, 1])
 def test_gauss_rules_do_not_depend_on_the_block_size(block_bytes, monkeypatch):
     expect = {n: transforms._newton_gauss_rule(n) for n in (1, 2, 3, 74, 75, 256)}
