@@ -573,9 +573,8 @@ def main(argv=None):
             _transform_settings(args)
         _check_ranges(args)
         with warnings.catch_warnings():
-            # A warning the command raises is shown, once where it is
-            # raised, whatever filters the caller has set.
-            warnings.simplefilter("default")
+            # Only the format changes; which warnings show is left to the
+            # caller's filters (Python's own show a UserWarning once).
             warnings.showwarning = _show_warning
             return args.func(args)
     except (CsvFormatError, ExtrapolationError, InsufficientPeaksError,

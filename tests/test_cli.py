@@ -434,6 +434,7 @@ def test_out_dir_after_the_subcommand_wins(tmp_path):
     assert [p.name for p in (tmp_path / "b").iterdir()] == ["spectrum_c1_legendre.csv"]
 
 
+@pytest.mark.filterwarnings("default::UserWarning")
 def test_warnings_print_on_one_line(tmp_path, capsys):
     # the small-angle tail warning, not the source line that raised it
     assert run("--out-dir", tmp_path, "transform", "--model", "c2", "--mode", "smallangle",
