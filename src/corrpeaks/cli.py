@@ -318,6 +318,10 @@ def cmd_transform(args):
         if args.input is None:
             raise ValueError("resum mode needs --input SPECTRUM_CSV")
         spec = read_spectrum(args.input)
+        if not spec.is_multipole:
+            raise CsvFormatError(
+                f"{args.input}: resummation needs coefficients on ell = 0..ell_max"
+            )
         theta = np.linspace(args.theta_min, args.theta_max, args.n_theta)
         tab = correlation_from_spectrum(spec, theta)
         name = args.output or f"correlation_{args.input.stem}.csv"

@@ -41,8 +41,8 @@ sqrt(dx^2 + dy^2): [e_k, e_k+1), the last bin closed.
 Determinism contract: every realization i derives its generator from
 (seed, i), so ensembles are reproducible bit for bit regardless of how
 many threads run them.  ``run_ensemble`` splits the realizations into
-one contiguous chunk per thread, counted with one set of buffers, and
-the calling thread counts the first chunk.
+one contiguous chunk per thread, none empty, counted with one set of
+buffers, and the calling thread counts the first chunk.
 """
 
 import math
@@ -445,14 +445,18 @@ def estimate_correlation(points, edges, patch_size):
 def run_ensemble(config, threads=1):
     """Run the configured ensemble and reduce it to per-bin statistics.
 
-    The realizations are split into ``threads`` contiguous chunks, each
-    drawn lazily and counted in one set of buffers; the caller counts the
-    first and threads - 1 workers the rest, so at threads=1 no thread
-    starts.  Each realization seeds its own generator from (seed, index),
-    so the split never shows in the result.  The estimates are derived from
-    the stacked pair counts DD and the one RR that every realization shares.
+    The realizations are split into min(threads, n_realizations) contiguous
+    chunks, none empty, each drawn lazily and counted in one set of buffers;
+    the caller counts the first and one worker each of the rest, so at
+    threads=1 no thread starts.  Each realization seeds its own generator
+    from (seed, index), so the split never shows in the result.  The
+    estimates are derived from the stacked pair counts DD and the one RR
+    that every realization shares, which needs a pair of points.
     """
     _require_count(threads=threads)
+    if config.n_disks * config.points_per_disk < 2:
+        raise ValueError("n_disks * points_per_disk must be at least 2 to form a pair, "
+                         f"got {config.n_disks} * {config.points_per_disk}")
     edges = config.bin_edges
 
     def pair_counts(chunk):
@@ -460,8 +464,9 @@ def run_ensemble(config, threads=1):
         points = (sample_disk_points(sample_centers(config, rng), config, rng) for rng in rngs)
         return _pair_counts(points, edges, config.patch_size)
 
-    first, *rest = np.array_split(np.arange(config.n_realizations), threads)
-    with ThreadPoolExecutor(max(1, threads - 1)) as pool:
+    chunks = min(threads, config.n_realizations)
+    first, *rest = np.array_split(np.arange(config.n_realizations), chunks)
+    with ThreadPoolExecutor(max(1, chunks - 1)) as pool:
         others = [pool.submit(pair_counts, chunk) for chunk in rest]
         dd = np.array(pair_counts(first) + [row for f in others for row in f.result()])
 

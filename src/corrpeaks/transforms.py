@@ -49,8 +49,6 @@ __all__ = [
     "PowerSpectrum",
     "Profile1D",
     "ExtrapolationError",
-    "gauss_nodes",
-    "panel_nodes",
     "legendre_coefficients",
     "correlation_from_spectrum",
     "small_angle_spectrum",
@@ -129,7 +127,7 @@ class TabulatedCorrelation:
         Sample angles in radians, strictly increasing, inside [0, pi].
     values : array
         C(theta) at the sample angles.  NaN marks a missing estimate
-        (an empty estimator bin); transforms refuse tables with gaps.
+        (an empty estimator bin); a table with gaps refuses evaluation.
     """
 
     theta: np.ndarray
@@ -150,7 +148,13 @@ class TabulatedCorrelation:
         object.__setattr__(self, "values", values)
 
     def __call__(self, theta):
-        """Cubic-spline evaluation; raises ExtrapolationError off the grid."""
+        """Cubic-spline evaluation; raises ExtrapolationError off the grid
+        or when the table has a missing value."""
+        if np.any(np.isnan(self.values)):
+            raise ExtrapolationError(
+                "correlation table has missing values; fill or drop them "
+                "before transforming"
+            )
         theta = np.asarray(theta, dtype=float)
         if np.any(theta < self.theta[0] - NODE_MATCH_ATOL) or np.any(
             theta > self.theta[-1] + NODE_MATCH_ATOL
@@ -376,23 +380,13 @@ def _model_breakpoints(corr):
     return () if bp is None else tuple(bp())
 
 
-def _sample_correlation(corr, theta):
-    """Evaluate a model, callable, or tabulated correlation on quadrature nodes."""
-    if isinstance(corr, TabulatedCorrelation) and np.any(np.isnan(corr.values)):
-        raise ExtrapolationError(
-            "correlation table has missing values; fill or drop them "
-            "before transforming"
-        )
-    return np.asarray(corr(theta), dtype=float)
-
-
 def _weighted_samples(corr, breakpoints, n_nodes):
     """Mirror-symmetric nodes on [0, pi], samples C and weighted samples
     2 pi w sin(theta) C, the correlation evaluated once on all nodes."""
     if breakpoints is None:
         breakpoints = _model_breakpoints(corr)
     theta, w = panel_nodes(breakpoints, n_nodes)
-    f = _sample_correlation(corr, theta)
+    f = np.asarray(corr(theta), dtype=float)
     if f.shape != theta.shape:
         raise ValueError("correlation evaluation returned a wrong shape")
     return theta, f, 2.0 * math.pi * w * np.sin(theta) * f
@@ -538,6 +532,8 @@ def correlation_from_spectrum(spectrum, theta):
     if not spectrum.is_multipole:
         raise ValueError("resummation needs coefficients on ell = 0..ell_max")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if theta.size < 2:
+        raise ValueError("theta grid must hold at least two angles")
     if np.any(theta < 0) or np.any(theta > math.pi + 1e-12):
         raise ValueError("theta must lie in [0, pi]")
     order = np.argsort(theta)

@@ -486,6 +486,13 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         "n_disks = 10\nradius_deg = 1\nradius_min_deg = 0.5\nradius_max_deg = 2\n"
     )
     assert run("--out-dir", tmp_path, "--config", tmp_path / "both.cfg", "mc") == 1
+    # an ensemble of one point has no pair to count
+    capsys.readouterr()
+    assert run("--out-dir", tmp_path / "mc", "mc", "--n-disks", "1", "--points-per-disk", "1",
+               "--realizations", "2", "--n-bins", "4") == 1
+    err = capsys.readouterr().err
+    assert "n_disks" in err and "points_per_disk" in err
+    assert not (tmp_path / "mc").exists()
     write_spectrum(tmp_path / "short.csv", PowerSpectrum(np.arange(16.0), 1.0 + np.arange(16.0) % 3))
     # a reversed resum range would be written sorted under a manifest that
     # names it reversed; it fails before the output directory is made
@@ -613,6 +620,14 @@ def test_data_errors_exit_2(tmp_path, capsys):
     write_spectrum(tmp_path / "short.csv", PowerSpectrum(np.arange(10.0), 1.0 + np.arange(10.0) % 3))
     assert run("--out-dir", tmp_path / "out", "analyze", "--input", tmp_path / "short.csv") == 2
     assert not list((tmp_path / "out").glob("*"))
+    # a wavenumber spectrum has no resummation: the file is at fault
+    wavenumber = tmp_path / "wavenumber.csv"
+    write_spectrum(wavenumber, PowerSpectrum(np.linspace(2.0, 200.0, 32), np.ones(32)))
+    capsys.readouterr()
+    assert run("--out-dir", tmp_path / "resum", "transform", "--mode", "resum",
+               "--input", wavenumber) == 2
+    assert str(wavenumber) in capsys.readouterr().err
+    assert not (tmp_path / "resum").exists()
 
 
 def test_truncated_correlation_input_exits_2(tmp_path):

@@ -9,17 +9,15 @@ count: a function that only its own test calls has no caller.
 import ast
 from pathlib import Path
 
+import corrpeaks
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "corrpeaks"
 
 
 def _exported():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            return [ast.literal_eval(elt) for elt in node.value.elts]
-    raise AssertionError("corrpeaks/__init__.py has no __all__")
+    """``corrpeaks.__all__``, which the package builds from its modules' own."""
+    return list(corrpeaks.__all__)
 
 
 def _referenced(paths):
@@ -43,3 +41,10 @@ def test_every_exported_name_has_a_caller():
     referenced = _referenced(callers)
     uncalled = [name for name in _exported() if name not in referenced]
     assert not uncalled, f"exported with no caller outside its own tests: {uncalled}"
+
+
+def test_no_name_is_exported_twice():
+    # A second star import of the same name would silently shadow the first.
+    exported = _exported()
+    twice = sorted({name for name in exported if exported.count(name) > 1})
+    assert not twice, f"exported by more than one module: {twice}"

@@ -78,8 +78,7 @@ def test_rerun_is_bit_identical():
 
 @pytest.mark.parametrize("threads", [2, 3, 8])
 def test_thread_count_never_shows_in_results(threads):
-    # 5 realizations: chunks of 3 and 2, of 2, 2 and 1, or five of one and
-    # three empty ones
+    # 5 realizations: chunks of 3 and 2, of 2, 2 and 1, or five of one
     cfg = small_config(n_realizations=5)
     serial = run_ensemble(cfg, threads=1)
     parallel = run_ensemble(cfg, threads=threads)
@@ -94,6 +93,30 @@ def test_one_thread_starts_no_thread(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", refuse)
     stats = run_ensemble(small_config(n_realizations=3), threads=1)
     assert stats.per_realization.shape == (3, 24)
+
+
+def test_no_thread_starts_for_an_empty_chunk(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    stats = run_ensemble(small_config(n_realizations=2), threads=8)
+    assert stats.per_realization.shape == (2, 24)
+    assert len(started) <= 1
+
+
+def test_an_ensemble_without_a_pair_is_refused_before_any_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a realization was drawn")
+
+    monkeypatch.setattr(toy_disks_mc, "sample_centers", no_draw)
+    cfg = small_config(n_disks=1, points_per_disk=1, n_realizations=2)
+    with pytest.raises(ValueError, match="n_disks \\* points_per_disk must be at least 2"):
+        run_ensemble(cfg)
 
 
 @pytest.mark.parametrize("threads", [0, -2, 2.5, True, None])

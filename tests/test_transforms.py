@@ -558,6 +558,17 @@ def test_resum_rejects_duplicate_angles_before_any_work(monkeypatch):
         correlation_from_spectrum(spec, [0.3, 0.1, 0.3])
 
 
+@pytest.mark.parametrize("theta", [[], [0.3]])
+def test_resum_rejects_fewer_than_two_angles_before_any_work(theta, monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("the recurrence ran")
+
+    monkeypatch.setattr(transforms, "_legendre_rows", no_rows)
+    spec = PowerSpectrum(np.arange(3.0), [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="theta grid must hold at least two angles"):
+        correlation_from_spectrum(spec, theta)
+
+
 def test_tabulated_input_must_cover_the_sphere():
     theta = np.linspace(0.1, 1.0, 200)
     tab = TabulatedCorrelation(theta, np.exp(-theta))
@@ -591,6 +602,14 @@ def test_missing_values_are_rejected_at_transform_time():
     tab = TabulatedCorrelation(theta, vals)  # construction is fine
     with pytest.raises(ValueError, match="missing"):
         legendre_coefficients(tab, ell_max=2)
+
+
+def test_a_table_with_a_missing_value_refuses_evaluation():
+    vals = np.ones(5)
+    vals[2] = np.nan
+    tab = TabulatedCorrelation(np.linspace(0.0, 1.0, 5), vals)
+    with pytest.raises(ExtrapolationError, match="missing"):
+        tab(np.array([0.1, 0.9]))
 
 
 def test_validation_of_grids():
