@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .corr_models import Toy2Distance, Toy2Uniform, default_model
+from .corr_models import _DEFAULTS, Toy2Distance, Toy2Uniform, default_model
 from .csvio import (
     CsvFormatError,
     peak_summary,
@@ -39,13 +39,14 @@ from .toy_disks_mc import DiskEnsembleConfig, PackingError, run_ensemble
 from .transforms import (
     ExtrapolationError,
     TabulatedCorrelation,
+    _max_band,
     _require_positive,
     correlation_from_spectrum,
     legendre_coefficients,
     small_angle_spectrum,
 )
 
-MODEL_CHOICES = ("c1", "c2", "toy2-uniform", "toy2-distance")
+MODEL_CHOICES = tuple(_DEFAULTS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,8 +76,8 @@ def parse_angle(text):
     return value if unit == "rad" else math.radians(value)
 
 
-def _int_at_least(minimum):
-    """argparse type for a count flag: an integer no smaller than ``minimum``."""
+def _int_in(minimum, maximum=math.inf):
+    """argparse type for a count flag: an integer in [``minimum``, ``maximum``]."""
 
     def parse(text):
         try:
@@ -85,12 +86,64 @@ def _int_at_least(minimum):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return parse
 
 
-positive_int = _int_at_least(1)
+positive_int = _int_in(1)
+
+
+def _boolean(text):
+    value = text.strip().lower()
+    if value not in ("true", "false", "yes", "no", "on", "off", "1", "0"):
+        raise ValueError("expected true/false, yes/no, on/off or 1/0")
+    return value in ("true", "yes", "on", "1")
+
+
+def _dest(flag):
+    """The attribute argparse stores ``flag``'s value under."""
+    return flag[2:].replace("-", "_")
+
+
+# Every toy2 and mc setting: settings type -> field -> (flag, config key,
+# parser).  A flag's text and a config value go through the same parser, so
+# a plain number in a "_deg" key is an angle in degrees, as on its flag.
+# mc's radius_min and radius_max give the radius as a range; --seed is a
+# common flag, --hard-core a bare switch.
+_SETTINGS = {
+    Toy2Uniform: {"r_min": ("--r-min", "R_min_deg", parse_angle),
+                  "r_max": ("--r-max", "R_max_deg", parse_angle)},
+    Toy2Distance: {"a0": ("--a0", "A0", float), "length": ("--length", "L", float),
+                   "r_min": ("--distance-min", "r_min", float),
+                   "r_max": ("--distance-max", "r_max", float)},
+    DiskEnsembleConfig: {
+        "n_disks": ("--n-disks", "n_disks", positive_int),
+        "radius": ("--radius", "radius_deg", parse_angle),
+        "radius_min": ("--radius-min", "radius_min_deg", parse_angle),
+        "radius_max": ("--radius-max", "radius_max_deg", parse_angle),
+        "points_per_disk": ("--points-per-disk", "points_per_disk", positive_int),
+        "patch_size": ("--patch-size", "patch_size", float),
+        "hard_core": ("--hard-core", "hard_core", _boolean),
+        "n_realizations": ("--realizations", "n_realizations", positive_int),
+        "seed": ("--seed", "seed", int),
+        "n_bins": ("--n-bins", "n_bins", positive_int),
+        "theta_max": ("--theta-max", "theta_max_deg", parse_angle),
+    },
+}
+
+
+# The flags each transform mode reads: flag -> (parser, default).  An
+# ell_max above the band MAX_ORDER allows over [0, pi] is refused by flag.
+_TRANSFORM_MODES = {
+    "legendre": {"--ell-max": (_int_in(1, math.floor(_max_band(math.pi) - 0.5)), 2000)},
+    "smallangle": {"--k-min": (float, 2.0), "--k-max": (float, 2000.0),
+                   "--n-k": (_int_in(2), 1000)},
+    "resum": {"--theta-min": (parse_angle, 0.0), "--theta-max": (parse_angle, math.pi),
+              "--n-theta": (_int_in(2), 721)},
+}
 
 
 def _common_flags():
@@ -137,14 +190,10 @@ def build_parser():
         default="legendre",
         help="legendre: C_ell; smallangle: flat-sky P(k); resum: spectrum -> C(theta)",
     )
-    # Defaults per mode live in _TRANSFORM_MODES, so a flag given is a flag seen.
-    p.add_argument("--ell-max", type=positive_int)
-    p.add_argument("--k-min", type=float)
-    p.add_argument("--k-max", type=float)
-    p.add_argument("--n-k", type=_int_at_least(2))
-    p.add_argument("--theta-min", type=parse_angle, help="resum grid start")
-    p.add_argument("--theta-max", type=parse_angle, help="resum grid end")
-    p.add_argument("--n-theta", type=_int_at_least(2), help="resum grid points")
+    # Defaults per mode are set after parsing, so a flag given is a flag seen.
+    for mode, flags in _TRANSFORM_MODES.items():
+        for flag, (parse, _) in flags.items():
+            p.add_argument(flag, type=parse, help=f"read by --mode {mode}")
     p.add_argument("--output", help="output file name override")
     p.set_defaults(func=cmd_transform)
 
@@ -156,7 +205,7 @@ def build_parser():
     p.add_argument("--radius", type=parse_angle, default=math.radians(1.0))
     p.add_argument("--theta-min", type=parse_angle, default=math.radians(0.05))
     p.add_argument("--theta-max", type=parse_angle, default=math.radians(4.0))
-    p.add_argument("--n-theta", type=_int_at_least(2), default=64)
+    p.add_argument("--n-theta", type=_int_in(2), default=64)
     p.add_argument("--output", help="output file name override")
     p.set_defaults(func=cmd_toy1)
 
@@ -167,28 +216,17 @@ def build_parser():
     )
     p.add_argument("--variant", required=True, choices=("uniform", "distance"))
     # Model parameters default to the reference model, then the config file.
-    p.add_argument("--r-min", type=parse_angle)
-    p.add_argument("--r-max", type=parse_angle)
-    p.add_argument("--a0", type=float)
-    p.add_argument("--length", type=float)
-    p.add_argument("--distance-min", type=float)
-    p.add_argument("--distance-max", type=float)
-    # toy2 always writes a peak report, which needs MIN_SPECTRUM_POINTS multipoles.
-    p.add_argument("--ell-max", type=_int_at_least(MIN_SPECTRUM_POINTS - 1), default=2000)
-    p.add_argument("--n-theta", type=_int_at_least(2), default=512, help="correlation output grid")
+    _add_setting_flags(p, Toy2Uniform)
+    _add_setting_flags(p, Toy2Distance)
+    # toy2 always writes a peak report, which needs MIN_SPECTRUM_POINTS
+    # multipoles, and its spectrum is a Legendre transform.
+    p.add_argument("--ell-max", default=2000, type=_int_in(
+        MIN_SPECTRUM_POINTS - 1, math.floor(_max_band(math.pi) - 0.5)))
+    p.add_argument("--n-theta", type=_int_in(2), default=512, help="correlation output grid")
     p.set_defaults(func=cmd_toy2)
 
     p = sub.add_parser("mc", parents=[common], help="Monte Carlo disk ensembles")
-    p.add_argument("--n-disks", type=positive_int)
-    p.add_argument("--radius", type=parse_angle)
-    p.add_argument("--radius-min", type=parse_angle)
-    p.add_argument("--radius-max", type=parse_angle)
-    p.add_argument("--points-per-disk", type=positive_int)
-    p.add_argument("--patch-size", type=float)
-    p.add_argument("--hard-core", action="store_true", default=None)
-    p.add_argument("--realizations", type=positive_int, dest="n_realizations")
-    p.add_argument("--n-bins", type=positive_int)
-    p.add_argument("--theta-max", type=parse_angle)
+    _add_setting_flags(p, DiskEnsembleConfig)
     p.add_argument("--output", help="output file name override")
     p.set_defaults(func=cmd_mc)
 
@@ -197,6 +235,15 @@ def build_parser():
     p.set_defaults(func=cmd_analyze)
 
     return parser
+
+
+def _add_setting_flags(parser, settings):
+    """Add the flag of each row of ``settings``, --seed aside (a common flag)."""
+    for flag, _, parse in _SETTINGS[settings].values():
+        if parse is _boolean:
+            parser.add_argument(flag, action="store_true", default=None)
+        elif flag != "--seed":
+            parser.add_argument(flag, type=parse)
 
 
 def _load_config(args):
@@ -255,36 +302,29 @@ def _print_verdict(report):
     )
 
 
-# The settings each transform mode reads, with their defaults.
-_TRANSFORM_MODES = {
-    "legendre": {"ell_max": 2000},
-    "smallangle": {"k_min": 2.0, "k_max": 2000.0, "n_k": 1000},
-    "resum": {"theta_min": 0.0, "theta_max": math.pi, "n_theta": 721},
-}
-
-
 def _reject_foreign_flags(args, option, flags):
     """Reject a flag given for a value of --``option`` other than the chosen
     one; ``flags`` maps each value to the flags it reads."""
     chosen = getattr(args, option)
     for value, own in flags.items():
         for flag in own:
-            if value != chosen and getattr(args, flag) is not None:
-                raise ValueError(f"--{flag.replace('_', '-')} applies to --{option} {value}")
+            if value != chosen and getattr(args, _dest(flag)) is not None:
+                raise ValueError(f"{flag} applies to --{option} {value}")
 
 
 def _transform_settings(args):
     """Default the settings --mode reads; a flag of another mode is an error."""
     _reject_foreign_flags(args, "mode", _TRANSFORM_MODES)
-    for field, default in _TRANSFORM_MODES[args.mode].items():
-        if getattr(args, field) is None:
-            setattr(args, field, default)
+    for flag, (_, default) in _TRANSFORM_MODES[args.mode].items():
+        if getattr(args, _dest(flag)) is None:
+            setattr(args, _dest(flag), default)
 
 
 # What each grid's ends must be, by command and flag stem.
 _GRID_DOMAINS = {
     ("transform", "theta"): (lambda v: 0.0 <= v <= math.pi, "within [0, 180deg]"),
-    ("transform", "k"): (lambda v: 0.0 <= v < math.inf, "finite and nonnegative"),
+    ("transform", "k"): (lambda v: 0.0 <= v <= _max_band(math.pi),
+                         f"within [0, {_max_band(math.pi)!r}]"),
     ("toy1", "theta"): (lambda v: 0.0 < v <= math.pi, "within (0, 180deg]"),
 }
 
@@ -377,77 +417,30 @@ def cmd_toy1(args):
     return 0
 
 
-def _given(args, flags):
-    """The flags in ``flags`` (flag -> field) that were given, by field."""
-    return {field: getattr(args, flag) for flag, field in flags.items()
-            if getattr(args, flag) is not None}
+def _layers(args, config, settings, command):
+    """The fields of ``settings`` that ``config`` sets, then those the flags
+    given set: two layers (column, values), ``values`` by field and
+    ``column`` the place in each row of the name a value was given under
+    (the config key, then the flag).
 
-
-def _boolean(text):
-    value = text.strip().lower()
-    if value not in ("true", "false", "yes", "no", "on", "off", "1", "0"):
-        raise ValueError("expected true/false, yes/no, on/off or 1/0")
-    return value in ("true", "yes", "on", "1")
-
-
-# The config file format: settings type -> field -> (config key, parser).  A
-# key ending in "_deg" holds its angle field in degrees, every other key its
-# field as is.  mc's radius_min and radius_max give the radius as a range.
-_CONFIG = {
-    Toy2Uniform: {"r_min": ("R_min_deg", float), "r_max": ("R_max_deg", float)},
-    Toy2Distance: {"a0": ("A0", float), "length": ("L", float),
-                   "r_min": ("r_min", float), "r_max": ("r_max", float)},
-    DiskEnsembleConfig: {
-        "n_disks": ("n_disks", int),
-        "radius": ("radius_deg", float),
-        "radius_min": ("radius_min_deg", float),
-        "radius_max": ("radius_max_deg", float),
-        "points_per_disk": ("points_per_disk", int),
-        "patch_size": ("patch_size", float),
-        "hard_core": ("hard_core", _boolean),
-        "n_realizations": ("n_realizations", int),
-        "seed": ("seed", int),
-        "n_bins": ("n_bins", int),
-        "theta_max": ("theta_max_deg", float),
-    },
-}
-
-
-def _config_value(key, text, parse):
-    """One config value parsed by ``parse``, in radians if ``key`` ends in _deg.
-
-    A value that does not parse raises ValueError naming its key.
+    A key outside the rows of ``settings`` raises ValueError naming the key
+    and ``command``, the command that reads the file, and a value that does
+    not parse one naming its key.
     """
-    try:
-        value = parse(text)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"config {key} = {text!r}: {exc}") from None
-    return math.radians(value) if key.endswith("_deg") else value
-
-
-def _config_fields(config, settings, command):
-    """The fields of ``settings`` that the config entries set, by field.
-
-    A key outside the row of ``settings`` raises ValueError naming the key
-    and ``command``, the command that reads the file.
-    """
-    table = {key: (field, parse) for field, (key, parse) in _CONFIG[settings].items()}
-    values = {}
+    rows = _SETTINGS[settings]
+    fields = {key: field for field, (_, key, _) in rows.items()}
+    from_config = {}
     for key, text in config.items():
-        if key not in table:
+        if key not in fields:
             raise ValueError(f"{command} reads no config key {key!r}; "
-                             f"its keys are {', '.join(table)}")
-        field, parse = table[key]
-        values[field] = _config_value(key, text, parse)
-    return values
-
-
-# toy2 flag -> model field, per variant.
-_TOY2_FLAGS = {
-    "uniform": {"r_min": "r_min", "r_max": "r_max"},
-    "distance": {"a0": "a0", "length": "length", "distance_min": "r_min",
-                 "distance_max": "r_max"},
-}
+                             f"its keys are {', '.join(fields)}")
+        try:
+            from_config[fields[key]] = rows[fields[key]][2](text)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"config {key} = {text!r}: {exc}") from None
+    from_flags = {field: getattr(args, _dest(flag)) for field, (flag, _, _) in rows.items()}
+    return ((1, from_config),
+            (0, {field: value for field, value in from_flags.items() if value is not None}))
 
 
 def _toy2_model(args):
@@ -460,21 +453,19 @@ def _toy2_model(args):
             f"config model {model!r} does not match "
             f"--variant {args.variant} (expected {kind})"
         )
-    _reject_foreign_flags(args, "variant", _TOY2_FLAGS)
+    _reject_foreign_flags(args, "variant", {
+        variant: [flag for flag, _, _ in _SETTINGS[settings].values()]
+        for variant, settings in (("uniform", Toy2Uniform), ("distance", Toy2Distance))})
     reference = default_model(f"toy2-{args.variant}")
-    table = _CONFIG[type(reference)]
-    flags = _TOY2_FLAGS[args.variant]
-    from_config = _config_fields(config, type(reference), f"toy2 --variant {args.variant}")
-    from_flags = _given(args, flags)
+    rows = _SETTINGS[type(reference)]
+    layers = _layers(args, config, type(reference), f"toy2 --variant {args.variant}")
     # Every toy2 field must be finite and positive; a value is checked
     # under the config key or flag that set it.
-    names = {**{field: table[field][0] for field in from_config},
-             **{field: "--" + flag.replace("_", "-") for flag, field in flags.items()
-                if field in from_flags}}
-    values = {**from_config, **from_flags}
-    for field, value in values.items():
-        _require_positive(**{names[field]: value})
-    return dataclasses.replace(reference, **values)
+    given = {field: (value, column) for column, values in layers
+             for field, value in values.items()}
+    for field, (value, column) in given.items():
+        _require_positive(**{rows[field][column]: value})
+    return dataclasses.replace(reference, **{field: value for field, (value, _) in given.items()})
 
 
 def cmd_toy2(args):
@@ -486,7 +477,7 @@ def cmd_toy2(args):
     report = analyze_spectrum(spec)
 
     params = {}
-    for field, (key, _) in _CONFIG[type(model)].items():
+    for field, (_, key, _) in _SETTINGS[type(model)].items():
         value = getattr(model, field)
         params[key] = math.degrees(value) if key.endswith("_deg") else value
     stem = f"toy2_{args.variant}"
@@ -500,28 +491,27 @@ def cmd_toy2(args):
     return 0
 
 
-def _radius_range(values, name):
-    """Fold one layer's radius range into its radius; ``name`` spells a field."""
+def _radius_range(values, column):
+    """Fold one layer's radius range into its radius; ``column`` is the
+    layer's from :func:`_layers`."""
+    radius, lo, hi = (_SETTINGS[DiskEnsembleConfig][field][column]
+                      for field in ("radius", "radius_min", "radius_max"))
     ends = (values.pop("radius_min", None), values.pop("radius_max", None))
     if ends == (None, None):
         return values
     if None in ends:
-        raise ValueError(f"{name('radius_min')} and {name('radius_max')} must be given together")
+        raise ValueError(f"{lo} and {hi} must be given together")
     if "radius" in values:
-        raise ValueError(f"{name('radius')} conflicts with {name('radius_min')}/"
-                         f"{name('radius_max')}; give one")
+        raise ValueError(f"{radius} conflicts with {lo}/{hi}; give one")
     return {**values, "radius": ends}
 
 
 def _mc_config(args):
     """Layer DiskEnsembleConfig from defaults, then config file, then flags."""
-    table = _CONFIG[DiskEnsembleConfig]
-    from_config = _config_fields(_load_config(args), DiskEnsembleConfig, "mc")
-    from_flags = _given(args, {field: field for field in table})
-    return DiskEnsembleConfig(**{
-        **_radius_range(from_config, lambda field: table[field][0]),
-        **_radius_range(from_flags, lambda field: "--" + field.replace("_", "-")),
-    })
+    values = {}
+    for column, layer in _layers(args, _load_config(args), DiskEnsembleConfig, "mc"):
+        values.update(_radius_range(layer, column))
+    return DiskEnsembleConfig(**values)
 
 
 def cmd_mc(args):

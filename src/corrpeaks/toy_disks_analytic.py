@@ -370,8 +370,9 @@ def correlation_toy1(theta_grid, profile, omega, n_disks=DEFAULT_N_DISKS):
     Parameters
     ----------
     theta_grid : array
-        Separations in radians, strictly positive and increasing.  The
-        flat-sky formula is meaningful for theta well below a radian.
+        Separations in radians, at least two, strictly positive and
+        increasing.  The flat-sky formula is meaningful for theta well
+        below a radian.
     profile : DiskProfile
         Its same-disk term n A is read from the overlap table of its shape.
     omega : CenterCorrelation
@@ -386,6 +387,8 @@ def correlation_toy1(theta_grid, profile, omega, n_disks=DEFAULT_N_DISKS):
     TabulatedCorrelation on theta_grid.
     """
     theta_grid = np.atleast_1d(np.asarray(theta_grid, dtype=float))
+    if theta_grid.size < 2:
+        raise ValueError("theta grid must hold at least two angles")
     if (not np.all((theta_grid > 0) & (theta_grid < math.inf))
             or np.any(np.diff(theta_grid) <= 0)):
         raise ValueError("theta grid must be finite, positive and strictly increasing")

@@ -142,11 +142,18 @@ class DiskEnsembleConfig:
 
     @property
     def radius_range(self):
-        if np.ndim(self.radius) == 0:
-            r = float(self.radius)
-            return r, r
-        lo, hi = (float(v) for v in self.radius)
-        return lo, hi
+        try:
+            shape = np.shape(self.radius)
+            if shape == ():
+                r = float(self.radius)
+                return r, r
+            if shape == (2,):
+                lo, hi = (float(v) for v in self.radius)
+                return lo, hi
+        except (TypeError, ValueError):
+            pass
+        raise ValueError(f"radius must be one number or an (r_min, r_max) pair, "
+                         f"got {self.radius!r}")
 
     @property
     def bin_edges(self):

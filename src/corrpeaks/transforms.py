@@ -323,8 +323,15 @@ def _band_order(band, length):
     the ladder of :func:`_ladder`."""
     order = _order_for(math.ceil(band * length / 2))
     if order > MAX_ORDER:
-        raise ValueError(f"band {band:.6g} needs quadrature order > MAX_ORDER = {MAX_ORDER}")
+        raise ValueError(f"band {band:.6g} needs quadrature order > MAX_ORDER = {MAX_ORDER}; "
+                         f"the largest band over length {length:.6g} is {_max_band(length)!r}")
     return order
+
+
+def _max_band(length):
+    """The largest band over ``length`` that :func:`_band_order` accepts: the
+    band share of MAX_ORDER, 2 (MAX_ORDER - _margin(MAX_ORDER)) / length."""
+    return 2 * (MAX_ORDER - _margin(MAX_ORDER)) / length
 
 
 def panel_nodes(breakpoints, n_nodes, lo=0.0, hi=math.pi):

@@ -17,7 +17,7 @@ from corrpeaks import (
     Toy2Distance,
     Toy2Uniform,
     cli,
-    default_model,
+    transforms,
 )
 from corrpeaks.csvio import read_config, read_correlation, read_spectrum, write_spectrum
 
@@ -302,29 +302,84 @@ def test_config_keys_are_pinned():
                              "points_per_disk", "patch_size", "hard_core", "n_realizations",
                              "seed", "n_bins", "theta_max_deg"],
     }
-    assert {settings: [key for key, _ in table.values()]
-            for settings, table in cli._CONFIG.items()} == expect
+    assert {settings: [key for _, key, _ in rows.values()]
+            for settings, rows in cli._SETTINGS.items()} == expect
 
 
 def test_config_table_matches_settings_and_flags():
-    # every table field is a field of its settings type, mc's radius range
-    # aside, and every toy2 and mc flag that sets a field has a table entry
-    for settings, table in cli._CONFIG.items():
+    # every row's field is a field of its settings type, mc's radius range
+    # aside, and every toy2, mc and transform-mode flag comes from a row
+    for settings, rows in cli._SETTINGS.items():
         fields = {field.name for field in dataclasses.fields(settings)}
         if settings is DiskEnsembleConfig:
             fields |= {"radius_min", "radius_max"}
-        assert set(table) <= fields, settings
+        assert set(rows) <= fields, settings
     commands = next(action for action in cli.build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction)).choices
-    no_field = {"help", "config", "out_dir", "threads", "gnuplot", "output"}
-    mc_flags = {action.dest for action in commands["mc"]._actions} - no_field
-    assert mc_flags == set(cli._CONFIG[DiskEnsembleConfig])
-    toy2_flags = ({action.dest for action in commands["toy2"]._actions} - no_field
-                  - {"seed", "variant", "ell_max", "n_theta"})
-    assert toy2_flags == {flag for flags in cli._TOY2_FLAGS.values() for flag in flags}
-    for variant, flags in cli._TOY2_FLAGS.items():
-        settings = type(default_model(f"toy2-{variant}"))
-        assert set(flags.values()) == set(cli._CONFIG[settings]), variant
+    common = {"-h", "--help", "--seed", "--config", "--out-dir", "--threads", "--gnuplot",
+              "--output"}
+
+    def flags(command, own):
+        return {flag for action in commands[command]._actions
+                for flag in action.option_strings} - common - own
+
+    def rows(*settings):
+        return {flag for s in settings for flag, _, _ in cli._SETTINGS[s].values()} - common
+
+    assert flags("mc", set()) == rows(DiskEnsembleConfig)
+    assert flags("toy2", {"--variant", "--ell-max", "--n-theta"}) == rows(Toy2Uniform,
+                                                                           Toy2Distance)
+    assert flags("transform", {"--model", "--input", "--mode"}) == {
+        flag for mode in cli._TRANSFORM_MODES.values() for flag in mode}
+
+
+_ROWS = [(settings, field) for settings, rows in cli._SETTINGS.items() for field in rows]
+
+
+@pytest.mark.parametrize("settings, field", _ROWS,
+                         ids=[f"{settings.__name__}.{field}" for settings, field in _ROWS])
+def test_a_config_value_reads_as_its_flag(settings, field):
+    # the same text, given as the flag or as the config value, is the same
+    # setting: a plain number in a _deg key is degrees, as on an angle flag
+    flag, key, parse = cli._SETTINGS[settings][field]
+    command = {Toy2Uniform: ("toy2", "--variant", "uniform"),
+               Toy2Distance: ("toy2", "--variant", "distance"),
+               DiskEnsembleConfig: ("mc",)}[settings]
+    texts = {cli.parse_angle: ("0.7", "0.7deg", "0.01rad"), float: ("0.03",),
+             cli.positive_int: ("7",), int: ("5",), cli._boolean: ("true",)}[parse]
+    for text in texts:
+        given = (flag,) if parse is cli._boolean else (flag, text)
+        args = cli.build_parser().parse_args([*command, *given])
+        (_, from_config), (_, from_flags) = cli._layers(args, {key: text}, settings, "test")
+        assert from_config == from_flags == {field: parse(text)}, text
+    if parse is cli.parse_angle:
+        assert parse("0.7") == math.radians(0.7)
+
+
+def test_band_limits_are_the_largest_bands_a_rule_is_built_for(monkeypatch):
+    # --ell-max and --k-max stop at the largest band _band_order accepts,
+    # which is arithmetic: no rule is built here
+    def no_rule(n):
+        raise AssertionError(f"order {n} built")
+
+    monkeypatch.setattr(transforms, "_newton_gauss_rule", no_rule)
+    band = transforms._max_band(math.pi)
+    assert transforms._band_order(band, math.pi) == transforms.MAX_ORDER
+    with pytest.raises(ValueError, match=re.escape(
+            f"largest band over length 3.14159 is {band!r}")):
+        transforms._band_order(np.nextafter(band, math.inf), math.pi)
+    inside, domain = cli._GRID_DOMAINS["transform", "k"]
+    assert inside(band) and not inside(np.nextafter(band, math.inf))
+    assert repr(band) in domain
+    ell = 20768
+    assert transforms._band_order(ell + 0.5, math.pi) == transforms.MAX_ORDER
+    with pytest.raises(ValueError, match="MAX_ORDER"):
+        transforms._band_order(ell + 1.5, math.pi)
+    parser = cli.build_parser()
+    for argv in (("transform", "--model", "c2"), ("toy2", "--variant", "uniform")):
+        assert parser.parse_args([*argv, "--ell-max", str(ell)]).ell_max == ell
+        with pytest.raises(SystemExit):
+            parser.parse_args([*argv, "--ell-max", str(ell + 1)])
 
 
 def test_unknown_config_keys_exit_1_naming_them(tmp_path, capsys):
@@ -475,6 +530,18 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run("--out-dir", tmp_path, "transform", "--model", "c2", "--ell-max", "1") == 0
     assert run("--out-dir", tmp_path, "transform", "--model", "c2",
                "--mode", "smallangle", "--n-k", "1") == 1
+    # a band above the largest quadrature order's is refused by flag, with
+    # the largest value the flag takes, before anything is written
+    for argv, flag, largest in (
+            (("transform", "--model", "c2", "--ell-max", "20769"), "--ell-max", "20768"),
+            (("toy2", "--variant", "uniform", "--ell-max", "30000"), "--ell-max", "20768"),
+            (("transform", "--model", "c2", "--mode", "smallangle", "--k-max", "1e5"),
+             "--k-max", "20769.08")):
+        capsys.readouterr()
+        assert run("--out-dir", tmp_path / "band", *argv) == 1
+        err = capsys.readouterr().err
+        assert flag in err and largest in err, err
+        assert not (tmp_path / "band").exists()
     # a radius range needs both ends, from flags or from a config file
     assert run("--out-dir", tmp_path, "mc", "--n-disks", "10", "--radius-min", "0.5") == 1
     (tmp_path / "half.cfg").write_text("n_disks = 10\nradius_min_deg = 0.5\n")

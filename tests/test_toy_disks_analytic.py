@@ -550,6 +550,19 @@ def test_correlation_toy1_input_validation():
         correlation_toy1(np.array([0.1, 0.2]), prof, centers, -5.0)
 
 
+@pytest.mark.parametrize("theta", [[], [0.5 * R]], ids=["empty", "one"])
+def test_correlation_toy1_rejects_fewer_than_two_angles_before_any_quadrature(
+        theta, monkeypatch):
+    # the table it returns needs two samples; on a cold cache an empty grid
+    # built the whole overlap table before that was found out
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran on a grid of fewer than two angles")
+
+    monkeypatch.setattr(toy_disks_analytic, "_radial_convolution", no_quadrature)
+    with pytest.raises(ValueError, match="at least two angles"):
+        correlation_toy1(np.array(theta), *preset_case("c"), N_C)
+
+
 @pytest.mark.parametrize("n_disks", [math.nan, math.inf, 0.0, -5.0])
 def test_disk_count_must_be_finite_and_positive(n_disks, monkeypatch):
     # NaN slips past a plain "<= 0" test and used to give an all-NaN table.

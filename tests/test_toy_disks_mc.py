@@ -678,3 +678,12 @@ def test_config_rejects_a_non_finite_radius_by_name(radius):
     # an infinite radius failed as "disks must be small against the patch"
     with pytest.raises(ValueError, match="radius must be finite and positive"):
         small_config(radius=radius)
+
+
+@pytest.mark.parametrize("radius", [(0.5 * R, R, 2 * R), (R,), "abc", None,
+                                    np.array([[0.5 * R, R], [R, 2 * R]])],
+                         ids=["triple", "one-tuple", "text", "none", "2d-array"])
+def test_config_rejects_a_radius_that_is_not_a_number_or_a_pair_by_name(radius):
+    # each failed unpacking or converting, with a message naming no field
+    with pytest.raises(ValueError, match="radius must be one number or an"):
+        small_config(radius=radius)
